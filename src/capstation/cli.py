@@ -18,7 +18,16 @@ from .errors import ModelError
 from .monitor import MonitorConfig, Semantics, SequenceUnit, check_spatial, check_trace, violations
 from .simulator import run_script
 from .station import TopologyName, build_catalog
-from .wire import catalog_to_obj, graph_to_obj, read_faults, read_script, read_trace, verdict_to_obj, write_trace
+from .wire import (
+    _write_text,
+    catalog_to_obj,
+    graph_to_obj,
+    read_faults,
+    read_script,
+    read_trace,
+    verdict_to_obj,
+    write_trace,
+)
 
 _TOPOLOGY_FLAGS = {
     "process-sequence": TopologyName.PROCESS_SEQUENCE,
@@ -71,21 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_out(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fp:
-            fp.write(text)
-
-
 def _cmd_model_dump(args) -> int:
     catalog = build_catalog()
+    out = sys.stdout if args.out == "-" else args.out
     if args.topology is None:
         if args.format == "dot":
             print("model dump --format dot requires --topology", file=sys.stderr)
             return 2
-        _write_out(args.out, json.dumps(catalog_to_obj(catalog), indent=2) + "\n")
+        _write_text(out, json.dumps(catalog_to_obj(catalog), indent=2) + "\n")
         return 0
     if args.topology == "all":
         graphs = {name.value: catalog.topologies[name] for name in TopologyName}
@@ -96,10 +98,10 @@ def _cmd_model_dump(args) -> int:
         payload = {label: graph_to_obj(g) for label, g in graphs.items()}
         if len(graphs) == 1:
             payload = next(iter(payload.values()))
-        _write_out(args.out, json.dumps(payload, indent=2) + "\n")
+        _write_text(out, json.dumps(payload, indent=2) + "\n")
     else:
         text = "".join(render_dot(g) for g in graphs.values())
-        _write_out(args.out, text)
+        _write_text(out, text)
     return 0
 
 
@@ -127,7 +129,8 @@ def _cmd_monitor(args) -> int:
     bad = violations(verdicts)
     report = [verdict_to_obj(v) for v in verdicts]
     if args.report:
-        _write_out(args.report, json.dumps(report, indent=2) + "\n")
+        report_out = sys.stdout if args.report == "-" else args.report
+        _write_text(report_out, json.dumps(report, indent=2) + "\n")
     summary = {
         "events": len(trace),
         "verdicts": len(verdicts),

@@ -1,22 +1,15 @@
-"""Domain-agnostic formula, time, space, map and graph constructs."""
+"""Domain-agnostic time, space, map and graph constructs."""
 
 from .bemap import BeMapKV, ComponentId, ComponentValue, ValueKind, build_bemap
 from .geometry import Box3D, intersection_volume
-from .graph import (
-    AnnotatedGraph,
-    EdgeAnn,
-    StateChangeEvent,
-    TemporalConstraint,
-    TemporalCorrelation,
-)
-from .terms import Atom, BigAnd, Implies, InvariantTerm, Xor, term_key, term_sorted, xor_check
+from .graph import AnnotatedGraph, EdgeAnn, TemporalConstraint, TemporalCorrelation
+from .terms import Atom, Xor
 from .timing import (
     Addition,
     Constant,
     SymbolicScalar,
     TimeDuration,
     TimeDurationRange,
-    TimeInterval,
     TimePoint,
     Variable,
     evaluate,
@@ -29,21 +22,16 @@ __all__ = [
     "AnnotatedGraph",
     "Atom",
     "BeMapKV",
-    "BigAnd",
     "Box3D",
     "ComponentId",
     "ComponentValue",
     "Constant",
     "EdgeAnn",
-    "Implies",
-    "InvariantTerm",
-    "StateChangeEvent",
     "SymbolicScalar",
     "TemporalConstraint",
     "TemporalCorrelation",
     "TimeDuration",
     "TimeDurationRange",
-    "TimeInterval",
     "TimePoint",
     "ValueKind",
     "Variable",
@@ -52,8 +40,5 @@ __all__ = [
     "evaluate",
     "intersection_volume",
     "relative_duration",
-    "term_key",
-    "term_sorted",
     "variables",
-    "xor_check",
 ]

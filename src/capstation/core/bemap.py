@@ -1,8 +1,6 @@
 """Component identities, tagged values, and the key-value map construct.
 
-A description map behaves like a finite map with unique keys but is
-semantically a conjunction of key=>value implications, which `to_term`
-makes explicit.
+A description map behaves like a finite map with unique keys.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from typing import Iterable, Optional, Tuple
 
 from ..errors import DuplicateKeyError
 from .geometry import Box3D
-from .terms import Atom, BigAnd, Implies, Xor
+from .terms import Xor
 
 
 @dataclass(frozen=True, order=True)
@@ -107,22 +105,6 @@ class BeMapKV:
 
     def keys(self) -> tuple:
         return tuple(k for k, _ in self.entries)
-
-    @property
-    def premises(self) -> frozenset:
-        return frozenset(k for k, _ in self.entries)
-
-    @property
-    def conclusions(self) -> frozenset:
-        return frozenset(v for _, v in self.entries)
-
-    @property
-    def elements(self) -> frozenset:
-        return self.premises | self.conclusions
-
-    def to_term(self) -> BigAnd:
-        """The map as a conjunction of key=>value implications."""
-        return BigAnd(tuple(Implies(Atom(k), Atom(v)) for k, v in self.entries))
 
 
 def build_bemap(entries: Iterable[Entry]) -> BeMapKV:

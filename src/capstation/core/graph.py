@@ -1,4 +1,4 @@
-"""Annotated directed graphs, temporal rules, and state-change events.
+"""Annotated directed graphs and temporal rules.
 
 Topologies are sets of directed edges between components; each edge may
 carry a relationship annotation.  The two rule kinds are an exact-delay
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bemap import ComponentId
-from .timing import TimeDuration, TimeDurationRange, TimePoint
+from .timing import TimeDuration, TimeDurationRange
 
 
 @dataclass(frozen=True)
@@ -71,15 +71,3 @@ class AnnotatedGraph:
             out.add(e.source)
             out.add(e.target)
         return frozenset(out)
-
-    def edges_from(self, node: ComponentId) -> tuple:
-        return tuple(e for e in self.edges if e.source == node)
-
-
-@dataclass(frozen=True)
-class StateChangeEvent:
-    """The unit of all traces: who changed, when, and to which state."""
-
-    owner: ComponentId
-    timepoint: TimePoint
-    state: object

@@ -1,17 +1,13 @@
-"""Formula terms: the algebra every model object lives in.
+"""Formula terms that carry a device's spatial variations.
 
-A term is either an atom wrapping an arbitrary payload, a conjunction,
-an exclusive-or, or an implication.  Terms are immutable, hashable and
-totally ordered, so they can be used for set semantics and deterministic
-serialization.
+An atom wraps an arbitrary payload; an exclusive-or groups the mutually
+exclusive alternatives of a variation set.  Terms are immutable and
+hashable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Union
-
-from ..errors import NotAMemberError
 
 
 @dataclass(frozen=True)
@@ -19,18 +15,6 @@ class Atom:
     """A term not composed of other terms."""
 
     payload: object
-
-
-@dataclass(frozen=True)
-class BigAnd:
-    """Conjunction of one or more terms."""
-
-    terms: tuple = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
-            raise ValueError("conjunction needs at least one term")
 
 
 @dataclass(frozen=True)
@@ -43,48 +27,3 @@ class Xor:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValueError("exclusive-or needs at least one term")
-
-
-@dataclass(frozen=True)
-class Implies:
-    premise: "InvariantTerm"
-    conclusion: "InvariantTerm"
-
-
-InvariantTerm = Union[Atom, BigAnd, Xor, Implies]
-
-_TAGS = {Atom: "ATOM", BigAnd: "BIGAND", Implies: "IMPLIES", Xor: "XOR"}
-
-
-def term_key(term: InvariantTerm):
-    """Total-order sort key: lexicographic on (variant tag, payload key).
-
-    Atom payloads of different Python types are ordered by type name first,
-    then by repr, which is stable for the immutable values used here.
-    """
-    tag = _TAGS.get(type(term))
-    if tag is None:
-        raise TypeError(f"not a term: {term!r}")
-    if isinstance(term, Atom):
-        return (tag, (type(term.payload).__name__, repr(term.payload)))
-    if isinstance(term, Implies):
-        return (tag, (term_key(term.premise), term_key(term.conclusion)))
-    return (tag, tuple(term_key(t) for t in term.terms))
-
-
-def term_sorted(terms: Iterable[InvariantTerm]) -> list:
-    return sorted(terms, key=term_key)
-
-
-def xor_check(exclusion: Xor, active: Iterable[InvariantTerm]) -> bool:
-    """True iff exactly one member of the exclusion set is active.
-
-    Raises NotAMemberError when ``active`` names a term that is not a
-    member of ``exclusion``.
-    """
-    members = set(exclusion.terms)
-    active = set(active)
-    for term in active:
-        if term not in members:
-            raise NotAMemberError(term)
-    return len(active) == 1

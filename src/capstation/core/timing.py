@@ -1,4 +1,4 @@
-"""Time points, intervals, symbolic scalars and relative durations.
+"""Time points, symbolic scalars and relative durations.
 
 The time unit is fixed to integer milliseconds throughout the toolkit.
 Durations are expressed symbolically as a pair of scalars (start, scalar);
@@ -29,19 +29,6 @@ class TimePoint:
 
     def __post_init__(self):
         _require_int(self.t, "timepoint")
-
-    def shift(self, delta_ms: int) -> "TimePoint":
-        return TimePoint(self.t + delta_ms)
-
-
-@dataclass(frozen=True)
-class TimeInterval:
-    t1: TimePoint
-    t2: TimePoint
-
-    def __post_init__(self):
-        if self.t1 > self.t2:
-            raise ValueError("interval start must not be after its end")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Device taxonomy, signal semantics, states, live events and topology kinds.
+"""Device taxonomy, signal semantics, states and live events.
 
 Devices are parts, actuators or sensors.  Every device in the modelled
 station uses binary signalling, so a signal is High, Low, or the
@@ -12,47 +12,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
 
 from .core.bemap import ComponentId, ComponentValue
-from .core.geometry import Box3D
-from .core.graph import AnnotatedGraph, TemporalConstraint, TemporalCorrelation
 from .core.terms import Atom, Xor
-from .core.timing import TimeDuration, TimePoint
-from .errors import (
-    AbstractStateInEventError,
-    DontCareInputError,
-    MissingAnnotationError,
-    UnsupportedAnnotationError,
-)
+from .core.timing import TimePoint
+from .errors import AbstractStateInEventError, DontCareInputError
 
 
 class DeviceKind(enum.Enum):
     PART = "Part"
     ACTUATOR = "Actuator"
     SENSOR = "Sensor"
-
-
-@dataclass(frozen=True)
-class DiscreteMaterial:
-    """Atomic material unit, optionally individually identified."""
-
-    identity: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class AnalogMaterial:
-    """Divisible material measured as a non-negative quantity of some unit."""
-
-    unit: str
-    quantity: float
-
-    def __post_init__(self):
-        if self.quantity < 0:
-            raise ValueError("analog quantity must be non-negative")
-
-
-MaterialKind = Union[DiscreteMaterial, AnalogMaterial]
 
 
 class Signal(enum.Enum):
@@ -82,9 +52,7 @@ def abstract_state(name: str) -> DeviceState:
 # Solenoid actuator states
 ACTIVE = abstract_state("Active")
 ACTIVE_HIGH = DeviceState("Active", Signal.HIGH)
-ACTIVE_LOW = DeviceState("Active", Signal.LOW)
 PASSIVE = abstract_state("Passive")
-PASSIVE_HIGH = DeviceState("Passive", Signal.HIGH)
 PASSIVE_LOW = DeviceState("Passive", Signal.LOW)
 
 # Light and contact sensor states
@@ -141,7 +109,6 @@ class SignalMapping:
 
 
 HIGH_SOLENOID_MAPPING = SignalMapping(high=ACTIVE_HIGH, low=PASSIVE_LOW)
-LOW_SOLENOID_MAPPING = SignalMapping(high=PASSIVE_HIGH, low=ACTIVE_LOW)
 OBSTRUCTED_ON_HIGH = SignalMapping(high=OBSTRUCTED_HIGH, low=UNOBSTRUCTED_LOW)
 OBSTRUCTED_ON_LOW = SignalMapping(high=UNOBSTRUCTED_HIGH, low=OBSTRUCTED_LOW)
 GRIP_SENSOR_MAPPING = SignalMapping(high=GRIPPED_HIGH, low=RELEASED_LOW)
@@ -186,64 +153,3 @@ class PhysicalEvent:
             raise AbstractStateInEventError(
                 f"live event for {self.device} carries a don't-care state"
             )
-
-    @property
-    def owner(self) -> ComponentId:
-        return self.device
-
-
-def make_event(
-    device: ComponentId, kind: DeviceKind, timepoint: TimePoint, state: DeviceState
-) -> PhysicalEvent:
-    """Construct a live event; the state must carry a real signal."""
-    return PhysicalEvent(device, kind, timepoint, state)
-
-
-class RelationshipKind(enum.Enum):
-    SPATIAL = "Spatial"
-    TEMPORAL = "Temporal"
-    SPATIO_TEMPORAL = "SpatioTemporal"
-
-
-def annotation_kind(annotation: object) -> RelationshipKind:
-    if isinstance(annotation, (TemporalCorrelation, TemporalConstraint, TimeDuration)):
-        return RelationshipKind.TEMPORAL
-    if isinstance(annotation, Box3D):
-        return RelationshipKind.SPATIAL
-    raise UnsupportedAnnotationError(f"unsupported annotation: {annotation!r}")
-
-
-@dataclass(frozen=True)
-class Relationship:
-    """A classified edge annotation; the kind must fit the payload.
-
-    Spatio-temporal relationships accept either payload category, since a
-    dual-natured value is not structurally distinguishable here.
-    """
-
-    kind: RelationshipKind
-    payload: object
-
-    def __post_init__(self):
-        actual = annotation_kind(self.payload)
-        if self.kind is not RelationshipKind.SPATIO_TEMPORAL and self.kind is not actual:
-            raise ValueError(f"{self.kind.value} relationship with a {actual.value} payload")
-
-
-def classify_topology(graph: AnnotatedGraph) -> RelationshipKind:
-    """Uniformly temporal, uniformly spatial, or mixed (spatio-temporal).
-
-    Every edge must be annotated; a bare edge raises MissingAnnotationError.
-    """
-    if not graph.edges:
-        raise ValueError("cannot classify an empty topology")
-    kinds = set()
-    for edge in graph.edges:
-        if edge.annotation is None:
-            raise MissingAnnotationError(edge)
-        kinds.add(annotation_kind(edge.annotation))
-    if kinds == {RelationshipKind.TEMPORAL}:
-        return RelationshipKind.TEMPORAL
-    if kinds == {RelationshipKind.SPATIAL}:
-        return RelationshipKind.SPATIAL
-    return RelationshipKind.SPATIO_TEMPORAL

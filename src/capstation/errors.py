@@ -32,14 +32,6 @@ class NegativeExtentError(ModelError):
     """A box was anchored with a negative width, depth or height."""
 
 
-class NotAMemberError(ModelError):
-    """An XOR check was asked about a term that is not one of its members."""
-
-    def __init__(self, term):
-        super().__init__(f"not a member of the exclusion set: {term!r}")
-        self.term = term
-
-
 class DontCareInputError(ModelError):
     """A signal mapping was applied to the don't-care signal."""
 

@@ -31,7 +31,7 @@ import enum
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .core.bemap import ComponentId
 from .core.geometry import Box3D, intersection_volume
@@ -235,6 +235,13 @@ class StreamMonitor:
             return old
         return None
 
+    def _rules_caused_by(self, event: PhysicalEvent) -> Iterator[CompiledRule]:
+        """Rules, in order, whose cause the event is; both semantics open
+        their obligations from these."""
+        for rule in self.rules:
+            if rule.source == event.device and state_matches(rule.cause, event.state):
+                yield rule
+
     # -- ingest ------------------------------------------------------------
 
     def ingest(self, event: PhysicalEvent) -> List[Verdict]:
@@ -259,9 +266,7 @@ class StreamMonitor:
     # -- event-occurrence semantics -----------------------------------------
 
     def _open_event_mode(self, event: PhysicalEvent, t: int, out: List[Verdict]) -> None:
-        for rule in self.rules:
-            if rule.source != event.device or not state_matches(rule.cause, event.state):
-                continue
+        for rule in self._rules_caused_by(event):
             ob = _Obligation(rule, event, t + rule.min_ms, t + rule.max_ms, next(self._seq))
             if rule.min_ms < 0:
                 hit = None
@@ -323,9 +328,7 @@ class StreamMonitor:
         return True
 
     def _open_state_mode(self, event: PhysicalEvent, t: int, out: List[Verdict]) -> None:
-        for rule in self.rules:
-            if rule.source != event.device or not state_matches(rule.cause, event.state):
-                continue
+        for rule in self._rules_caused_by(event):
             ob = _Obligation(rule, event, t + rule.min_ms, t + rule.max_ms, next(self._seq))
             ob.last_target_event = self._state_event_at(rule.target, min(ob.lo, t))
             if ob.lo < t:

@@ -14,7 +14,6 @@ discrete consequences described for the real machine, not forces.
 
 from __future__ import annotations
 
-import copy
 import enum
 import random
 from dataclasses import dataclass, field
@@ -214,7 +213,6 @@ class Simulation:
         stack_count: int = 5,
         latencies: Optional[LatencyTable] = None,
         rng: Optional[random.Random] = None,
-        _resume: Optional[StationState] = None,
     ):
         if stack_count < 0:
             raise ValueError("stack count must be non-negative")
@@ -222,9 +220,6 @@ class Simulation:
         self.latencies = latencies or default_latency_table()
         self.rng = rng or random.Random(0)
         self.events: List[PhysicalEvent] = []
-        if _resume is not None:
-            self.state = _resume
-            return
         self.state = StationState(stack_count=stack_count)
         for actuator in catalog.actuators:
             self.state.actuator_signals[actuator] = Signal.LOW
@@ -320,7 +315,7 @@ class Simulation:
             if s.stack_count > 0:
                 s.stack_count -= 1
                 s.caps_pushed += 1
-                s.cap_at_pickup_spot = True
+                self._land_on_pickup_spot()
                 if s.stack_count == 0:
                     self._emit(STACK_EMPTY, DeviceKind.SENSOR, t, "Unobstructed")
                 self._maybe_start_grip(t)
@@ -370,12 +365,21 @@ class Simulation:
             s.cap_at_pickup_spot = False
             self._emit(WORKPIECE_GRIPPED, DeviceKind.SENSOR, t, "Gripped")
 
+    def _land_on_pickup_spot(self) -> None:
+        """A cap arrives at the pickup spot; if one already lies there the
+        spot jams and the arriving cap is lost."""
+        s = self.state
+        if s.cap_at_pickup_spot:
+            s.caps_lost += 1
+        else:
+            s.cap_at_pickup_spot = True
+
     def _release_cap(self, t: int) -> None:
         s = self.state
         s.gripped = False
         self._emit(WORKPIECE_GRIPPED, DeviceKind.SENSOR, t, "Released")
         if s.arm.motion is None and s.arm.settled is ArmPosition.AT_PICKUP:
-            s.cap_at_pickup_spot = True
+            self._land_on_pickup_spot()
         elif s.arm.motion is None and s.arm.settled is ArmPosition.AT_DROPOFF:
             s.caps_delivered += 1
         else:
@@ -460,37 +464,6 @@ class Simulation:
         return self.events
 
 
-def initialize(
-    catalog: StationCatalog,
-    stack_count: int = 5,
-    latencies: Optional[LatencyTable] = None,
-) -> Tuple[StationState, List[PhysicalEvent]]:
-    """Fresh machine state plus the initial event of every sensor."""
-    sim = Simulation(catalog, stack_count, latencies)
-    return sim.state, sim.events
-
-
-def apply_command(
-    catalog: StationCatalog,
-    state: StationState,
-    actuator: ComponentId,
-    signal: Signal,
-    t: int,
-    latencies: Optional[LatencyTable] = None,
-) -> Tuple[StationState, List[PhysicalEvent]]:
-    """Apply one command to a copy of `state` and settle its motions.
-
-    The returned events include the actuator's own state change at t and
-    the sensor changes at motion completion.  Because the motion settles,
-    chained calls cannot interrupt each other; use `Simulation` directly
-    for mid-motion reversal timelines.
-    """
-    sim = Simulation(catalog, 0, latencies, _resume=copy.deepcopy(state))
-    sim.command(actuator, signal, t)
-    sim.settle()
-    return sim.state, sim.events
-
-
 def run_script(
     catalog: StationCatalog,
     script: CommandScript,
@@ -515,7 +488,12 @@ def run_script(
         if isinstance(fault, LatencyOverride):
             table = table.with_override(fault.device, fault.latency_ms, fault.transition)
         elif isinstance(fault, StuckSensor):
-            stuck[fault.device] = fault.state
+            kind = catalog.kind(fault.device)
+            if kind is not DeviceKind.SENSOR:
+                raise ValueError(
+                    f"stuck-sensor fault on {fault.device}: the device is not a sensor ({kind.value})"
+                )
+            stuck[fault.device] = catalog.signal_mapping(fault.device).state_named(fault.state.name)
         elif isinstance(fault, DropEvents):
             dropped.add(fault.device)
         else:
@@ -535,9 +513,7 @@ def run_script(
             if event.device in pinned:
                 continue
             pinned.add(event.device)
-            mapping = catalog.signal_mapping(event.device)
-            state = mapping.state_named(stuck[event.device].name)
-            out.append(PhysicalEvent(event.device, event.kind, event.timepoint, state))
+            out.append(PhysicalEvent(event.device, event.kind, event.timepoint, stuck[event.device]))
         else:
             out.append(event)
     return out

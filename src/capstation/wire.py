@@ -13,27 +13,13 @@ don't-care level is implied); concrete event states always carry one.
 from __future__ import annotations
 
 import json
-from typing import List, Mapping, Optional, Sequence, TextIO, Union
+from typing import Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
 from .core.bemap import BeMapKV, ComponentId, ComponentValue, ValueKind
 from .core.geometry import Box3D
-from .core.graph import (
-    AnnotatedGraph,
-    EdgeAnn,
-    StateChangeEvent,
-    TemporalConstraint,
-    TemporalCorrelation,
-)
-from .core.terms import Atom, BigAnd, Implies, Xor
-from .core.timing import (
-    Addition,
-    Constant,
-    TimeDuration,
-    TimeDurationRange,
-    TimeInterval,
-    TimePoint,
-    Variable,
-)
+from .core.graph import AnnotatedGraph, EdgeAnn, TemporalConstraint, TemporalCorrelation
+from .core.terms import Atom, Xor
+from .core.timing import Addition, Constant, TimeDuration, TimeDurationRange, TimePoint, Variable
 from .devices import (
     DeviceKind,
     DeviceState,
@@ -83,6 +69,34 @@ def _int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaViolationError(path, f"expected an integer, got {value!r}")
     return value
+
+
+def _read_text(source: Union[str, TextIO]) -> str:
+    """Whole text of a path or a readable file-like object."""
+    if hasattr(source, "read"):
+        return source.read()
+    with open(source, "r", encoding="utf-8") as fp:
+        return fp.read()
+
+
+def _write_text(target: Union[str, TextIO], text: str) -> None:
+    """Write text to a path or a writable file-like object."""
+    if hasattr(target, "write"):
+        target.write(text)
+    else:
+        with open(target, "w", encoding="utf-8") as fp:
+            fp.write(text)
+
+
+def _json_lines(text: str) -> Iterator[Tuple[int, object]]:
+    """(line number, decoded value) of every non-blank JSON line."""
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            yield number, json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedJsonError(f"line {number}: {exc}", line=number) from exc
 
 
 # -- states --------------------------------------------------------------------
@@ -264,10 +278,6 @@ def edge_to_obj(edge: EdgeAnn) -> dict:
     }
 
 
-def edge_to_json(edge: EdgeAnn, indent: Optional[int] = None) -> str:
-    return json.dumps(edge_to_obj(edge), indent=indent)
-
-
 def edge_from_obj(value, path: str = "edge") -> EdgeAnn:
     obj = _obj(value, path)
     tag = _tag(obj, path)
@@ -350,12 +360,7 @@ def write_trace(target: Union[str, TextIO], events: Sequence[PhysicalEvent]) -> 
             raise OutOfOrderEventError(f"event at {t} after event at {last}")
         last = t
         lines.append(json.dumps(event_to_obj(event)))
-    text = "".join(line + "\n" for line in lines)
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8") as fp:
-            fp.write(text)
+    _write_text(target, "".join(line + "\n" for line in lines))
 
 
 def read_trace(
@@ -367,22 +372,12 @@ def read_trace(
     Device kinds are resolved against the station catalog unless an
     explicit mapping is given.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fp:
-            text = fp.read()
+    text = _read_text(source)
     if kinds is None:
         kinds = _default_kinds()
     events: List[PhysicalEvent] = []
     last = None
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            value = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedJsonError(f"line {number}: {exc}", line=number) from exc
+    for number, value in _json_lines(text):
         event = event_from_obj(value, kinds, path=f"line {number}")
         if last is not None and event.timepoint.t < last:
             raise OutOfOrderEventError(
@@ -407,28 +402,12 @@ def script_to_lines(script: CommandScript) -> str:
 
 
 def write_script(target: Union[str, TextIO], script: CommandScript) -> None:
-    text = script_to_lines(script)
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8") as fp:
-            fp.write(text)
+    _write_text(target, script_to_lines(script))
 
 
 def read_script(source: Union[str, TextIO]) -> CommandScript:
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fp:
-            text = fp.read()
     commands = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            value = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedJsonError(f"line {number}: {exc}", line=number) from exc
+    for number, value in _json_lines(_read_text(source)):
         obj = _obj(value, f"line {number}")
         _check_keys(obj, f"line {number}", ["time_ms", "actuator", "signal"])
         if obj["signal"] not in (Signal.HIGH.value, Signal.LOW.value):
@@ -453,10 +432,15 @@ def faults_from_obj(value) -> List[FaultSpec]:
         kind = obj.get("fault")
         if kind == "latency-override":
             _check_keys(obj, path, ["fault", "device", "latency_ms"], ["transition"])
+            latency_ms = _int(obj["latency_ms"], f"{path}.latency_ms")
+            if latency_ms < 0:
+                raise SchemaViolationError(
+                    f"{path}.latency_ms", f"must be non-negative, got {latency_ms}"
+                )
             out.append(
                 LatencyOverride(
                     device=ComponentId(obj["device"]),
-                    latency_ms=_int(obj["latency_ms"], f"{path}.latency_ms"),
+                    latency_ms=latency_ms,
                     transition=obj.get("transition"),
                 )
             )
@@ -475,13 +459,8 @@ def faults_from_obj(value) -> List[FaultSpec]:
 
 
 def read_faults(source: Union[str, TextIO]) -> List[FaultSpec]:
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fp:
-            text = fp.read()
     try:
-        value = json.loads(text)
+        value = json.loads(_read_text(source))
     except json.JSONDecodeError as exc:
         raise MalformedJsonError(str(exc)) from exc
     return faults_from_obj(value)
@@ -609,112 +588,3 @@ def verdict_to_obj(verdict) -> dict:
         "witness": None if verdict.witness is None else event_to_obj(verdict.witness),
         "decided_at": verdict.decided_at,
     }
-
-
-# -- core value codecs (round-trip support) ------------------------------------------
-
-
-def _payload_to_obj(payload) -> dict:
-    if isinstance(payload, str):
-        return {"payload": "str", "value": payload}
-    if isinstance(payload, bool):
-        raise UnsupportedAnnotationError("boolean payloads are not supported")
-    if isinstance(payload, int):
-        return {"payload": "int", "value": payload}
-    if isinstance(payload, ComponentId):
-        return {"payload": "component", "value": payload.id}
-    if isinstance(payload, ComponentValue):
-        return {"payload": "component-value", "value": component_value_to_obj(payload)}
-    raise UnsupportedAnnotationError(f"unsupported atom payload: {payload!r}")
-
-
-def _payload_from_obj(value, path: str):
-    obj = _obj(value, path)
-    _check_keys(obj, path, ["payload", "value"])
-    kind = obj["payload"]
-    if kind == "str":
-        return obj["value"]
-    if kind == "int":
-        return _int(obj["value"], f"{path}.value")
-    if kind == "component":
-        return ComponentId(obj["value"])
-    if kind == "component-value":
-        return component_value_from_obj(obj["value"], f"{path}.value")
-    raise UnknownTypeTagError(kind)
-
-
-def term_to_obj(term) -> dict:
-    if isinstance(term, Atom):
-        return {"type": "ATOM", "payload": _payload_to_obj(term.payload)}
-    if isinstance(term, BigAnd):
-        return {"type": "BIGAND", "terms": [term_to_obj(t) for t in term.terms]}
-    if isinstance(term, Xor):
-        return {"type": "XOR", "terms": [term_to_obj(t) for t in term.terms]}
-    if isinstance(term, Implies):
-        return {
-            "type": "IMPLIES",
-            "premise": term_to_obj(term.premise),
-            "conclusion": term_to_obj(term.conclusion),
-        }
-    raise UnsupportedAnnotationError(f"not a term: {term!r}")
-
-
-def term_from_obj(value, path: str = "term"):
-    obj = _obj(value, path)
-    tag = _tag(obj, path)
-    if tag == "ATOM":
-        _check_keys(obj, path, ["type", "payload"])
-        return Atom(_payload_from_obj(obj["payload"], f"{path}.payload"))
-    if tag in ("BIGAND", "XOR"):
-        _check_keys(obj, path, ["type", "terms"])
-        if not isinstance(obj["terms"], list):
-            raise SchemaViolationError(f"{path}.terms", "expected a list")
-        terms = tuple(term_from_obj(t, f"{path}.terms[{i}]") for i, t in enumerate(obj["terms"]))
-        return BigAnd(terms) if tag == "BIGAND" else Xor(terms)
-    if tag == "IMPLIES":
-        _check_keys(obj, path, ["type", "premise", "conclusion"])
-        return Implies(
-            term_from_obj(obj["premise"], f"{path}.premise"),
-            term_from_obj(obj["conclusion"], f"{path}.conclusion"),
-        )
-    raise UnknownTypeTagError(tag)
-
-
-def interval_to_obj(interval: TimeInterval) -> dict:
-    return {"type": "TimeInterval", "timepoint1": interval.t1.t, "timepoint2": interval.t2.t}
-
-
-def interval_from_obj(value, path: str = "interval") -> TimeInterval:
-    obj = _obj(value, path)
-    tag = _tag(obj, path)
-    if tag != "TimeInterval":
-        raise UnknownTypeTagError(tag)
-    _check_keys(obj, path, ["type", "timepoint1", "timepoint2"])
-    return TimeInterval(
-        TimePoint(_int(obj["timepoint1"], f"{path}.timepoint1")),
-        TimePoint(_int(obj["timepoint2"], f"{path}.timepoint2")),
-    )
-
-
-def state_change_to_obj(event: StateChangeEvent) -> dict:
-    if not isinstance(event.state, DeviceState):
-        raise UnsupportedAnnotationError("only device states serialize")
-    return {
-        "type": "StateChange",
-        "owner": event.owner.id,
-        "timepoint": event.timepoint.t,
-        "state": state_to_obj(event.state),
-    }
-
-
-def state_change_from_obj(value, path: str = "event") -> StateChangeEvent:
-    obj = _obj(value, path)
-    tag = _tag(obj, path)
-    if tag != "StateChange":
-        raise UnknownTypeTagError(tag)
-    _check_keys(obj, path, ["type", "owner", "timepoint", "state"])
-    return StateChangeEvent(
-        owner=ComponentId(obj["owner"]),
-        timepoint=TimePoint(_int(obj["timepoint"], f"{path}.timepoint")),
-        state=state_from_obj(obj["state"], f"{path}.state"),
-    )

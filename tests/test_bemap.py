@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from capstation.core.bemap import BeMapKV, ComponentId, ComponentValue, ValueKind, build_bemap
-from capstation.core.terms import BigAnd, Implies
 from capstation.errors import DuplicateKeyError
 
 
@@ -32,19 +31,6 @@ def test_duplicate_keys_rejected():
     with pytest.raises(DuplicateKeyError) as err:
         build_bemap([kv("A", 1), kv("A", 2)])
     assert err.value.key == ComponentId("A")
-
-
-def test_premises_conclusions_elements():
-    contact = build_bemap([kv("Name", "Elon Musk"), kv("Address", "Mars")])
-    assert contact.premises == {ComponentId("Name"), ComponentId("Address")}
-    assert contact.conclusions == {ComponentValue("Elon Musk"), ComponentValue("Mars")}
-    assert contact.elements == contact.premises | contact.conclusions
-
-
-def test_map_is_a_conjunction_of_implications():
-    term = build_bemap([kv("Name", "Elon Musk")]).to_term()
-    assert isinstance(term, BigAnd)
-    assert all(isinstance(t, Implies) for t in term.terms)
 
 
 def test_component_id_must_be_non_empty():

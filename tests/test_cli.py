@@ -238,3 +238,30 @@ def test_simulate_reads_scenario_from_stdin(tmp_path, capsys, monkeypatch):
     assert cli_main(["simulate", "--scenario", "-", "--out", str(trace)]) == 0
     assert len(trace.read_text().splitlines()) == 29
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (
+            {"fault": "latency-override", "device": "Stack Ejector Extend", "latency_ms": -5},
+            "faults[0].latency_ms",
+        ),
+        (
+            {"fault": "stuck-sensor", "device": "Stack Ejector Extend", "state": "Obstructed"},
+            "not a sensor",
+        ),
+    ],
+    ids=["negative-latency", "stuck-actuator"],
+)
+def test_out_of_range_fault_is_an_input_error(scenario_file, tmp_path, capsys, fault, message):
+    faults = tmp_path / "faults.json"
+    faults.write_text(json.dumps([fault]))
+    code = cli_main(
+        ["simulate", "--scenario", str(scenario_file), "--faults", str(faults), "--out", "-"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err

@@ -5,34 +5,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from capstation.core.bemap import ComponentId
-from capstation.core.graph import AnnotatedGraph, EdgeAnn
-from capstation.core.timing import TimePoint, relative_duration
+from capstation.core.timing import TimePoint
 from capstation.devices import (
     ACTIVE,
     ACTIVE_HIGH,
-    AnalogMaterial,
     DeviceKind,
     DeviceState,
-    DiscreteMaterial,
     HIGH_SOLENOID_MAPPING,
     OBSTRUCTED,
     OBSTRUCTED_LOW,
     PASSIVE_LOW,
-    RelationshipKind,
+    PhysicalEvent,
     Signal,
     SignalMapping,
     SpatialVariationSet,
     abstract_state,
-    classify_topology,
-    make_event,
     state_matches,
 )
-from capstation.errors import (
-    AbstractStateInEventError,
-    DontCareInputError,
-    MissingAnnotationError,
-)
-from capstation.station import TopologyName
+from capstation.errors import AbstractStateInEventError, DontCareInputError
 
 SENSOR = ComponentId("Stack Empty")
 
@@ -84,62 +74,18 @@ def test_concrete_states_match_themselves(name, sig):
 
 
 def test_make_event_with_concrete_state():
-    e = make_event(SENSOR, DeviceKind.SENSOR, TimePoint(10), OBSTRUCTED_LOW)
+    e = PhysicalEvent(SENSOR, DeviceKind.SENSOR, TimePoint(10), OBSTRUCTED_LOW)
     assert (e.device, e.timepoint, e.state) == (SENSOR, TimePoint(10), OBSTRUCTED_LOW)
-    assert e.owner == e.device
 
 
 def test_make_event_rejects_abstract_state():
     with pytest.raises(AbstractStateInEventError):
-        make_event(SENSOR, DeviceKind.SENSOR, TimePoint(0), OBSTRUCTED)
+        PhysicalEvent(SENSOR, DeviceKind.SENSOR, TimePoint(0), OBSTRUCTED)
 
 
 def test_actuator_events_construct_the_same_way():
-    e = make_event(ComponentId("Stack Ejector Extend"), DeviceKind.ACTUATOR, TimePoint(5), ACTIVE_HIGH)
+    e = PhysicalEvent(ComponentId("Stack Ejector Extend"), DeviceKind.ACTUATOR, TimePoint(5), ACTIVE_HIGH)
     assert e.kind is DeviceKind.ACTUATOR
-
-
-def test_classify_causality_topology_is_temporal(catalog):
-    assert classify_topology(catalog.topologies[TopologyName.CAUSALITY]) is RelationshipKind.TEMPORAL
-
-
-def test_classify_duration_annotated_graph_is_temporal():
-    # alarm-style example: edges annotated with plain durations
-    g = AnnotatedGraph(
-        (
-            EdgeAnn(ComponentId("Smoke Detected"), ComponentId("Alarm Activated"),
-                    relative_duration(OBSTRUCTED, 1000)),
-            EdgeAnn(ComponentId("Smoke Clear"), ComponentId("Alarm Deactivated"),
-                    relative_duration(OBSTRUCTED, 3000)),
-        )
-    )
-    assert classify_topology(g) is RelationshipKind.TEMPORAL
-
-
-def test_classify_rejects_missing_annotation():
-    g = AnnotatedGraph((EdgeAnn(ComponentId("A"), ComponentId("B")),))
-    with pytest.raises(MissingAnnotationError):
-        classify_topology(g)
-
-
-def test_classify_mixed_graph_is_spatio_temporal():
-    from capstation.core.geometry import Box3D
-
-    g = AnnotatedGraph(
-        (
-            EdgeAnn(ComponentId("A"), ComponentId("B"), relative_duration(OBSTRUCTED, 1)),
-            EdgeAnn(ComponentId("B"), ComponentId("C"), Box3D(0, 0, 0, 1, 1, 1)),
-        )
-    )
-    assert classify_topology(g) is RelationshipKind.SPATIO_TEMPORAL
-
-
-def test_materials():
-    assert DiscreteMaterial("cap-001").identity == "cap-001"
-    assert DiscreteMaterial().identity is None
-    assert AnalogMaterial("litre", 0.5).quantity == 0.5
-    with pytest.raises(ValueError):
-        AnalogMaterial("litre", -1.0)
 
 
 def test_variation_sets_need_two_distinct_positions():
@@ -149,20 +95,6 @@ def test_variation_sets_need_two_distinct_positions():
         SpatialVariationSet("x", ("a", "a"))
     xor = SpatialVariationSet("x", ("a", "b")).to_xor()
     assert len(xor.terms) == 2
-
-
-def test_relationship_kind_must_fit_its_payload():
-    from capstation.core.geometry import Box3D
-    from capstation.devices import Relationship
-
-    temporal = relative_duration(OBSTRUCTED, 1000)
-    Relationship(RelationshipKind.TEMPORAL, temporal)
-    Relationship(RelationshipKind.SPATIAL, Box3D(0, 0, 0, 1, 1, 1))
-    Relationship(RelationshipKind.SPATIO_TEMPORAL, temporal)
-    with pytest.raises(ValueError):
-        Relationship(RelationshipKind.SPATIAL, temporal)
-    with pytest.raises(ValueError):
-        Relationship(RelationshipKind.TEMPORAL, Box3D(0, 0, 0, 1, 1, 1))
 
 
 @given(

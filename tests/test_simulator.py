@@ -21,9 +21,7 @@ from capstation.simulator import (
     LatencyOverride,
     Simulation,
     StuckSensor,
-    apply_command,
     default_latency_table,
-    initialize,
     run_script,
 )
 from capstation.station import (
@@ -51,28 +49,35 @@ def last_states(events):
     return out
 
 
+def settled(sim, actuator, signal, t):
+    """Apply one command, let its motions complete; returns the new events."""
+    before = len(sim.events)
+    sim.command(actuator, signal, t)
+    sim.settle()
+    return sim.events[before:]
+
+
 def test_initial_events_with_stocked_tube(catalog):
-    state, events = initialize(catalog, stack_count=5)
-    initial = last_states(events)
+    sim = Simulation(catalog, stack_count=5)
+    initial = last_states(sim.events)
     assert initial[STACK_EMPTY] == "Obstructed"
     assert initial[STACK_EJECTOR_RETRACTED] == "Obstructed"
     assert initial[STACK_EJECTOR_EXTENDED] == "Unobstructed"
     assert initial[LOADER_PICKED_UP] == "Obstructed"
     assert initial[LOADER_DROPPED_OFF] == "Unobstructed"
     assert initial[WORKPIECE_GRIPPED] == "Released"
+    state = sim.state
     assert state.ejector_pos is EjectorPosition.RETRACTED
     assert state.arm_pos is ArmPosition.AT_PICKUP
     assert state.clock == 0 and not state.vacuum_on and not state.gripped
 
 
 def test_initial_events_with_empty_tube(catalog):
-    _, events = initialize(catalog, stack_count=0)
-    assert last_states(events)[STACK_EMPTY] == "Unobstructed"
+    assert last_states(Simulation(catalog, stack_count=0).events)[STACK_EMPTY] == "Unobstructed"
 
 
 def test_initial_position_exclusion(catalog):
-    _, events = initialize(catalog)
-    initial = last_states(events)
+    initial = last_states(Simulation(catalog).events)
     obstructed = [
         s for s in (initial[STACK_EJECTOR_RETRACTED], initial[STACK_EJECTOR_EXTENDED])
         if s == "Obstructed"
@@ -82,46 +87,56 @@ def test_initial_position_exclusion(catalog):
 
 def test_negative_stack_count_rejected(catalog):
     with pytest.raises(ValueError):
-        initialize(catalog, stack_count=-1)
+        Simulation(catalog, stack_count=-1)
 
 
 def test_extension_command_effects(catalog):
-    state, _ = initialize(catalog, stack_count=5)
-    state, events = apply_command(catalog, state, STACK_EJECTOR_EXTEND, HIGH, 1000)
+    sim = Simulation(catalog, stack_count=5)
+    events = settled(sim, STACK_EJECTOR_EXTEND, HIGH, 1000)
     by_time = [(e.timepoint.t, e.device, e.state.name) for e in events]
     assert by_time == [
         (1000, STACK_EJECTOR_EXTEND, "Active"),
         (1250, STACK_EJECTOR_RETRACTED, "Unobstructed"),
         (1250, STACK_EJECTOR_EXTENDED, "Obstructed"),
     ]
-    assert state.stack_count == 4
-    assert state.cap_at_pickup_spot
-    assert state.ejector_pos is EjectorPosition.EXTENDED
+    assert sim.state.stack_count == 4
+    assert sim.state.cap_at_pickup_spot
+    assert sim.state.ejector_pos is EjectorPosition.EXTENDED
 
 
 def test_dropoff_swing_effects(catalog):
-    state, _ = initialize(catalog)
-    state, events = apply_command(catalog, state, LOADER_DROPOFF, HIGH, 100)
-    tail = [(e.timepoint.t, e.device, e.state.name) for e in events]
+    sim = Simulation(catalog)
+    tail = [(e.timepoint.t, e.device, e.state.name) for e in settled(sim, LOADER_DROPOFF, HIGH, 100)]
     assert tail == [
         (100, LOADER_DROPOFF, "Active"),
         (900, LOADER_PICKED_UP, "Unobstructed"),
         (900, LOADER_DROPPED_OFF, "Obstructed"),
     ]
-    assert state.arm_pos is ArmPosition.AT_DROPOFF
+    assert sim.state.arm_pos is ArmPosition.AT_DROPOFF
 
 
 def test_grip_needs_a_cap_at_the_pickup_spot(catalog):
-    state, _ = initialize(catalog)
+    sim = Simulation(catalog)
     # vacuum on with no cap: pump runs, nothing to grip
-    state, events = apply_command(catalog, state, VACUUM_GRIP, HIGH, 100)
+    events = settled(sim, VACUUM_GRIP, HIGH, 100)
     assert [e for e in events if e.device == WORKPIECE_GRIPPED] == []
-    assert state.vacuum_on and not state.gripped
+    assert sim.state.vacuum_on and not sim.state.gripped
     # push a cap out, the running vacuum grips it at the next opportunity
-    state, events = apply_command(catalog, state, STACK_EJECTOR_EXTEND, HIGH, 1000)
+    events = settled(sim, STACK_EJECTOR_EXTEND, HIGH, 1000)
     grips = [e for e in events if e.device == WORKPIECE_GRIPPED]
     assert [(e.timepoint.t, e.state.name) for e in grips] == [(1400, "Gripped")]
-    assert state.gripped and not state.cap_at_pickup_spot
+    assert sim.state.gripped and not sim.state.cap_at_pickup_spot
+
+
+def test_second_push_onto_an_occupied_spot_jams_and_loses_the_cap(catalog):
+    sim = Simulation(catalog, stack_count=5)
+    sim.command(STACK_EJECTOR_EXTEND, HIGH, 0)
+    sim.command(STACK_EJECTOR_EXTEND, LOW, 500)
+    sim.command(STACK_EJECTOR_EXTEND, HIGH, 1000)
+    sim.settle()
+    s = sim.state
+    assert (s.stack_count, s.caps_pushed, s.caps_lost, s.caps_delivered) == (3, 2, 1, 0)
+    assert s.cap_at_pickup_spot and not s.gripped
 
 
 def test_eject_pulse_releases_the_cap(catalog):
@@ -305,8 +320,10 @@ def test_random_scripts_yield_ordered_coherent_traces(script, stack):
         assert replayed[device] == reading.name
 
     # conservation and the suction invariant
-    assert stack == sim.state.stack_count + sim.state.caps_pushed
-    assert not sim.state.gripped or sim.state.vacuum_on or sim.state.eject_eta is not None
+    s = sim.state
+    assert stack == s.stack_count + s.caps_pushed
+    assert s.caps_pushed == s.caps_delivered + s.caps_lost + int(s.cap_at_pickup_spot) + int(s.gripped)
+    assert not s.gripped or s.vacuum_on or s.eject_eta is not None
 
 
 @settings(max_examples=60, deadline=None)
@@ -337,13 +354,12 @@ def test_script_errors_carry_the_command_index(catalog):
 
 def test_apply_command_chain_matches_run_script_when_motions_settle(catalog):
     # every nominal command arrives after the previous motion completed, so
-    # the settling per-command surface must reproduce the engine timeline
+    # settling after each command must reproduce the engine timeline
     script = nominal_script()
-    state, events = initialize(catalog, stack_count=5)
+    sim = Simulation(catalog, stack_count=5)
     for cmd in script.commands:
-        state, new_events = apply_command(catalog, state, cmd.actuator, cmd.signal, cmd.time)
-        events.extend(new_events)
-    assert events == run_script(catalog, script, stack_count=5)
+        settled(sim, cmd.actuator, cmd.signal, cmd.time)
+    assert sim.events == run_script(catalog, script, stack_count=5)
 
 
 def test_stuck_sensor_state_uses_the_device_mapping(catalog):

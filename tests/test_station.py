@@ -184,7 +184,7 @@ def test_process_sequence_documented_edge():
 
 def test_process_sequence_is_acyclic():
     g = build_process_sequence()
-    adjacency = {n: [e.target for e in g.edges_from(n)] for n in g.nodes()}
+    adjacency = {n: [e.target for e in g.edges if e.source == n] for n in g.nodes()}
 
     def has_cycle():
         WHITE, GRAY, BLACK = 0, 1, 2

@@ -1,63 +1,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from capstation.core.terms import Atom, BigAnd, Implies, Xor, term_key, term_sorted, xor_check
-from capstation.errors import NotAMemberError
-
-RETRACTED = Atom("Stack Ejector Retracted Position")
-EXTENDED = Atom("Stack Ejector Extended Position")
-POSITIONS = Xor((RETRACTED, EXTENDED))
+from capstation.core.terms import Xor
 
 
-def test_xor_exactly_one_active():
-    assert xor_check(POSITIONS, {RETRACTED}) is True
-
-
-def test_xor_none_active():
-    assert xor_check(POSITIONS, set()) is False
-
-
-def test_xor_both_active_violates_exclusion():
-    assert xor_check(POSITIONS, {RETRACTED, EXTENDED}) is False
-
-
-def test_xor_rejects_non_members():
-    with pytest.raises(NotAMemberError):
-        xor_check(POSITIONS, {Atom("elsewhere")})
-
-
-def test_empty_conjunction_and_xor_rejected():
-    with pytest.raises(ValueError):
-        BigAnd(())
+def test_empty_xor_rejected():
     with pytest.raises(ValueError):
         Xor(())
-
-
-terms = st.deferred(
-    lambda: st.one_of(
-        st.builds(Atom, st.one_of(st.text(max_size=6), st.integers(-50, 50))),
-        st.builds(BigAnd, st.lists(terms, min_size=1, max_size=3).map(tuple)),
-        st.builds(Xor, st.lists(terms, min_size=1, max_size=3).map(tuple)),
-        st.builds(Implies, terms, terms),
-    )
-)
-
-
-@given(st.lists(terms, min_size=2, max_size=6))
-def test_term_ordering_is_total_and_consistent(items):
-    ordered = term_sorted(items)
-    keys = [term_key(t) for t in ordered]
-    assert keys == sorted(keys)
-    # sorting again changes nothing
-    assert term_sorted(ordered) == ordered
-
-
-@given(terms, terms)
-def test_term_key_trichotomy(a, b):
-    ka, kb = term_key(a), term_key(b)
-    assert (ka < kb) or (kb < ka) or (ka == kb)
-    if a == b:
-        assert ka == kb

@@ -9,7 +9,6 @@ from capstation.core.timing import (
     Constant,
     TimeDuration,
     TimeDurationRange,
-    TimeInterval,
     TimePoint,
     Variable,
     evaluate,
@@ -75,15 +74,8 @@ def test_duration_range_orders_min_max():
         TimeDurationRange(hi, lo)
 
 
-def test_interval_endpoints_ordered():
-    TimeInterval(TimePoint(1), TimePoint(2))
-    with pytest.raises(ValueError):
-        TimeInterval(TimePoint(3), TimePoint(2))
-
-
-def test_timepoint_ordering_and_shift():
+def test_timepoint_ordering_and_integer_type():
     assert TimePoint(1) < TimePoint(2)
-    assert TimePoint(5).shift(-5) == TimePoint(0)
     with pytest.raises(TypeError):
         TimePoint(1.5)
 

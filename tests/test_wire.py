@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capstation.core.bemap import ComponentId, ComponentValue
-from capstation.core.graph import StateChangeEvent, TemporalCorrelation
-from capstation.core.terms import Atom, BigAnd, Implies, Xor
-from capstation.core.timing import TimeInterval, TimePoint, relative_duration
+from capstation.core.bemap import ComponentId
+from capstation.core.graph import TemporalCorrelation
+from capstation.core.timing import TimePoint, relative_duration
 from capstation.devices import DeviceKind, DeviceState, PhysicalEvent, Signal, abstract_state
 from capstation.errors import (
     MalformedJsonError,
@@ -37,14 +36,8 @@ from capstation.wire import (
     edge_to_obj,
     event_from_obj,
     event_to_obj,
-    interval_from_obj,
-    interval_to_obj,
     read_script,
     read_trace,
-    state_change_from_obj,
-    state_change_to_obj,
-    term_from_obj,
-    term_to_obj,
     write_script,
     write_trace,
 )
@@ -224,42 +217,6 @@ def test_annotation_round_trip(anchor, lo, hi, cause, effect):
         ),
     )
     assert edge_from_obj(edge_to_obj(edge)) == edge
-
-
-simple_values = st.one_of(
-    st.text(max_size=8).map(ComponentValue),
-    st.integers(-10**6, 10**6).map(ComponentValue),
-)
-
-terms = st.deferred(
-    lambda: st.one_of(
-        simple_values.map(Atom),
-        device_ids.map(Atom),
-        st.builds(BigAnd, st.lists(terms, min_size=1, max_size=3).map(tuple)),
-        st.builds(Xor, st.lists(terms, min_size=1, max_size=3).map(tuple)),
-        st.builds(Implies, terms, terms),
-    )
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(terms)
-def test_term_round_trip(term):
-    assert term_from_obj(term_to_obj(term)) == term
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(-10**6, 10**6), st.integers(0, 10**6))
-def test_interval_round_trip(t1, span):
-    interval = TimeInterval(TimePoint(t1), TimePoint(t1 + span))
-    assert interval_from_obj(interval_to_obj(interval)) == interval
-
-
-@settings(max_examples=100, deadline=None)
-@given(device_ids, st.integers(-10**6, 10**6), spec_states)
-def test_state_change_round_trip(owner, t, state):
-    event = StateChangeEvent(owner, TimePoint(t), state)
-    assert state_change_from_obj(state_change_to_obj(event)) == event
 
 
 def test_description_round_trip(catalog):
