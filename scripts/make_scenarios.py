@@ -6,19 +6,16 @@ from __future__ import annotations
 import json
 import pathlib
 import sys
+from typing import Dict
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from capstation.scenarios import late_extension_fault, nominal_script, two_cycles_script  # noqa: E402
-from capstation.wire import write_script  # noqa: E402
+from capstation.wire import script_to_lines  # noqa: E402
 
 
-def main() -> None:
-    root = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
-    root.mkdir(exist_ok=True)
-    write_script(str(root / "nominal.jsonl"), nominal_script())
-    write_script(str(root / "two_cycles.jsonl"), two_cycles_script())
-    print(f"wrote {root / 'two_cycles.jsonl'}")
+def scenario_files() -> Dict[str, str]:
+    """File name under scenarios/ -> the text this script writes there."""
     faults = [
         {
             "fault": "latency-override",
@@ -28,9 +25,19 @@ def main() -> None:
         }
         for fault in late_extension_fault()
     ]
-    (root / "faults_late_extension.json").write_text(json.dumps(faults, indent=2) + "\n")
-    print(f"wrote {root / 'nominal.jsonl'}")
-    print(f"wrote {root / 'faults_late_extension.json'}")
+    return {
+        "nominal.jsonl": script_to_lines(nominal_script()),
+        "two_cycles.jsonl": script_to_lines(two_cycles_script()),
+        "faults_late_extension.json": json.dumps(faults, indent=2) + "\n",
+    }
+
+
+def main() -> None:
+    root = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+    root.mkdir(exist_ok=True)
+    for name, text in scenario_files().items():
+        (root / name).write_text(text)
+        print(f"wrote {root / name}")
 
 
 if __name__ == "__main__":

@@ -61,7 +61,6 @@ class MonitorConfig:
     correlation_tolerance_ms: int = 0
     sequence_unit: SequenceUnit = SequenceUnit.SECONDS
     semantics: Semantics = Semantics.EVENT_OCCURRENCE
-    history_horizon_ms: Optional[int] = None  # None = max lookback over rules
 
     def __post_init__(self):
         if self.correlation_tolerance_ms < 0:
@@ -172,7 +171,6 @@ class _Obligation:
     cause_event: PhysicalEvent
     lo: int
     hi: int
-    seq: int
     # state-holds bookkeeping
     entered: bool = False
     last_target_event: Optional[PhysicalEvent] = None
@@ -189,22 +187,12 @@ class StreamMonitor:
     ):
         self.rules = list(rules)
         self.cfg = cfg or MonitorConfig()
-        needed = auto_horizon(self.rules)
-        if self.cfg.history_horizon_ms is None:
-            self.horizon = needed
-        elif self.cfg.history_horizon_ms < needed:
-            raise ValueError(
-                f"history horizon {self.cfg.history_horizon_ms} ms is below the "
-                f"{needed} ms lookback required by the rules"
-            )
-        else:
-            self.horizon = self.cfg.history_horizon_ms
+        self.horizon = auto_horizon(self.rules)
         self.known = None if known_devices is None else set(known_devices)
         self.last_time: Optional[int] = None
         self.pending: List[_Obligation] = []
         self.history: deque = deque()
         self._pruned_last: Dict[ComponentId, PhysicalEvent] = {}
-        self._seq = itertools.count()
 
     # -- shared plumbing ---------------------------------------------------
 
@@ -267,7 +255,7 @@ class StreamMonitor:
 
     def _open_event_mode(self, event: PhysicalEvent, t: int, out: List[Verdict]) -> None:
         for rule in self._rules_caused_by(event):
-            ob = _Obligation(rule, event, t + rule.min_ms, t + rule.max_ms, next(self._seq))
+            ob = _Obligation(rule, event, t + rule.min_ms, t + rule.max_ms)
             if rule.min_ms < 0:
                 hit = None
                 for past in self.history:  # oldest first
@@ -329,7 +317,7 @@ class StreamMonitor:
 
     def _open_state_mode(self, event: PhysicalEvent, t: int, out: List[Verdict]) -> None:
         for rule in self._rules_caused_by(event):
-            ob = _Obligation(rule, event, t + rule.min_ms, t + rule.max_ms, next(self._seq))
+            ob = _Obligation(rule, event, t + rule.min_ms, t + rule.max_ms)
             ob.last_target_event = self._state_event_at(rule.target, min(ob.lo, t))
             if ob.lo < t:
                 # window opened in the past: replay retained in-window events
@@ -491,22 +479,15 @@ class SpatialReport:
 
 
 def check_spatial(
-    catalog: StationCatalog,
-    devices: Optional[Iterable[ComponentId]] = None,
-    extra_boxes: Optional[Dict[ComponentId, Box3D]] = None,
+    catalog: StationCatalog, devices: Optional[Iterable[ComponentId]] = None
 ) -> SpatialReport:
-    """Pairwise overlap over the located devices (symmetric pairs once).
-
-    `devices` restricts the check; `extra_boxes` lets tests inject probes.
-    """
+    """Pairwise overlap of the located devices, or of `devices` (symmetric pairs once)."""
     boxes: Dict[ComponentId, Box3D] = {}
     pool = list(devices) if devices is not None else list(catalog.devices)
     for device in pool:
         box = catalog.box(device)
         if box is not None:
             boxes[device] = box
-    if extra_boxes:
-        boxes.update(extra_boxes)
     pairs = []
     for a, b in itertools.combinations(boxes, 2):
         shared = intersection_volume(boxes[a], boxes[b])

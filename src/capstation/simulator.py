@@ -493,7 +493,11 @@ def run_script(
                 raise ValueError(
                     f"stuck-sensor fault on {fault.device}: the device is not a sensor ({kind.value})"
                 )
-            stuck[fault.device] = catalog.signal_mapping(fault.device).state_named(fault.state.name)
+            mapping = catalog.signal_mapping(fault.device)
+            try:
+                stuck[fault.device] = mapping.state_named(fault.state.name)
+            except ValueError as exc:
+                raise ValueError(f"stuck-sensor fault on {fault.device}: {exc}") from None
         elif isinstance(fault, DropEvents):
             dropped.add(fault.device)
         else:

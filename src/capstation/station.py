@@ -153,22 +153,6 @@ class Y:
     LOADER_DROPPED_OFF_FRONT = STACK_EJECTOR_FRONT          # synthetic
 
 
-SYNTHETIC_MEASUREMENTS = frozenset(
-    {
-        "Width.STACK_EJECTOR", "Width.CAP_STACK_TUBE", "Width.STACK_EMPTY_SENSOR",
-        "Width.CONTACT_SENSOR",
-        "Depth.STACK_EJECTOR", "Depth.CAP_STACK_TUBE", "Depth.STACK_EMPTY_SENSOR",
-        "Depth.CONTACT_SENSOR",
-        "Z.CAP_STACK_TUBE_BOTTOM", "Z.STACK_EMPTY_SENSOR_BOTTOM", "Z.CONTACT_SENSOR_BOTTOM",
-        "Height.STACK_EJECTOR", "Height.CAP_STACK_TUBE", "Height.STACK_EMPTY_SENSOR",
-        "Height.CONTACT_SENSOR",
-        "X.CAP_STACK_TUBE_LEFT", "X.STACK_EMPTY_SENSOR_LEFT", "X.LOADER_PICKED_UP_LEFT",
-        "X.LOADER_DROPPED_OFF_LEFT",
-        "Y.CAP_STACK_TUBE_FRONT", "Y.STACK_EMPTY_SENSOR_FRONT", "Y.LOADER_PICKED_UP_FRONT",
-        "Y.LOADER_DROPPED_OFF_FRONT",
-    }
-)
-
 # Spatial variation positions
 STACK_EJECTOR_RETRACTED_POSITION = "Stack Ejector Retracted Position"
 STACK_EJECTOR_EXTENDED_POSITION = "Stack Ejector Extended Position"
@@ -276,7 +260,6 @@ def _correlation(cause: DeviceState, delta: int, effect: DeviceState) -> Tempora
 # The documented process-sequence delay constant is stored raw; its unit
 # defaults to seconds and is decided by the monitor configuration.
 PROCESS_SEQUENCE_DELTA = 3
-PROCESS_SEQUENCE_DEFAULT_UNIT = "seconds"
 
 # Window constants for the documented actuator-to-sensor rule (milliseconds).
 EJECTOR_WINDOW_MIN_MS = 200

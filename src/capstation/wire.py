@@ -1,4 +1,5 @@
-"""Wire formats: tagged JSON for edges and values, JSON-lines traces.
+"""Wire formats: tagged JSON for edges and values (written only), and
+JSON-lines traces, scenario scripts and fault files (read and written).
 
 Edge serialization reproduces the established fixture structure exactly:
 type tags ("EdgeAnnotated", "Component", "FestoStateCorrelation",
@@ -13,12 +14,11 @@ don't-care level is implied); concrete event states always carry one.
 from __future__ import annotations
 
 import json
-from typing import Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
+from typing import Iterator, List, Mapping, Sequence, TextIO, Tuple, Union
 
 from .core.bemap import BeMapKV, ComponentId, ComponentValue, ValueKind
-from .core.geometry import Box3D
 from .core.graph import AnnotatedGraph, EdgeAnn, TemporalConstraint, TemporalCorrelation
-from .core.terms import Atom, Xor
+from .core.terms import Atom
 from .core.timing import Addition, Constant, TimeDuration, TimeDurationRange, TimePoint, Variable
 from .devices import (
     DeviceKind,
@@ -37,7 +37,8 @@ from .errors import (
     UnknownTypeTagError,
     UnsupportedAnnotationError,
 )
-from .simulator import Command, CommandScript, DropEvents, FaultSpec, LatencyOverride, StuckSensor
+from .simulator import ACTIVATE, DEACTIVATE, Command, CommandScript, DropEvents, FaultSpec
+from .simulator import LatencyOverride, StuckSensor
 
 
 def _obj(value, path: str) -> dict:
@@ -63,6 +64,12 @@ def _tag(obj: dict, path: str) -> str:
     if not isinstance(tag, str):
         raise SchemaViolationError(path, "'type' must be a string")
     return tag
+
+
+def _component(value, path: str) -> ComponentId:
+    if not isinstance(value, str) or not value:
+        raise SchemaViolationError(path, "expected a non-empty string")
+    return ComponentId(value)
 
 
 def _int(value, path: str) -> int:
@@ -109,16 +116,13 @@ def state_to_obj(state: DeviceState) -> dict:
     return out
 
 
-def state_from_obj(value, path: str = "state", require_signal: bool = False) -> DeviceState:
+def state_from_obj(value, path: str) -> DeviceState:
+    """A concrete event state; unlike a state specification it needs a signal."""
     obj = _obj(value, path)
     tag = _tag(obj, path)
     if tag not in KNOWN_STATE_NAMES:
         raise UnknownTypeTagError(tag)
-    _check_keys(obj, path, ["type"], ["signal"])
-    if "signal" not in obj:
-        if require_signal:
-            raise SchemaViolationError(path, "event state requires a signal")
-        return abstract_state(tag)
+    _check_keys(obj, path, ["type", "signal"])
     level = obj["signal"]
     if level not in (Signal.HIGH.value, Signal.LOW.value):
         raise SchemaViolationError(path, f"signal must be High or Low, got {level!r}")
@@ -142,24 +146,6 @@ def scalar_to_obj(expr) -> dict:
     raise UnsupportedAnnotationError(f"not a symbolic scalar: {expr!r}")
 
 
-def scalar_from_obj(value, path: str = "scalar"):
-    obj = _obj(value, path)
-    tag = _tag(obj, path)
-    _check_keys(obj, path, ["type", "expression"])
-    expression = obj["expression"]
-    if tag == "SS Constant":
-        return Constant(_int(expression, f"{path}.expression"))
-    if tag == "SS Variable":
-        return Variable(state_from_obj(expression, f"{path}.expression"))
-    if tag == "SS Addition":
-        if not isinstance(expression, list) or len(expression) < 2:
-            raise SchemaViolationError(f"{path}.expression", "expected a list of two or more")
-        return Addition(
-            tuple(scalar_from_obj(op, f"{path}.expression[{i}]") for i, op in enumerate(expression))
-        )
-    raise UnknownTypeTagError(tag)
-
-
 def duration_to_obj(duration: TimeDuration) -> dict:
     return {
         "type": "TimeDuration",
@@ -168,36 +154,12 @@ def duration_to_obj(duration: TimeDuration) -> dict:
     }
 
 
-def duration_from_obj(value, path: str = "duration") -> TimeDuration:
-    obj = _obj(value, path)
-    tag = _tag(obj, path)
-    if tag != "TimeDuration":
-        raise UnknownTypeTagError(tag)
-    _check_keys(obj, path, ["type", "start", "scalar"])
-    return TimeDuration(
-        start=scalar_from_obj(obj["start"], f"{path}.start"),
-        scalar=scalar_from_obj(obj["scalar"], f"{path}.scalar"),
-    )
-
-
 def duration_range_to_obj(window: TimeDurationRange) -> dict:
     return {
         "type": "TimeDurationRange",
         "minimum": duration_to_obj(window.minimum),
         "maximum": duration_to_obj(window.maximum),
     }
-
-
-def duration_range_from_obj(value, path: str = "durationRange") -> TimeDurationRange:
-    obj = _obj(value, path)
-    tag = _tag(obj, path)
-    if tag != "TimeDurationRange":
-        raise UnknownTypeTagError(tag)
-    _check_keys(obj, path, ["type", "minimum", "maximum"])
-    return TimeDurationRange(
-        minimum=duration_from_obj(obj["minimum"], f"{path}.minimum"),
-        maximum=duration_from_obj(obj["maximum"], f"{path}.maximum"),
-    )
 
 
 # -- rule annotations and edges -------------------------------------------------
@@ -228,43 +190,8 @@ def annotation_to_obj(annotation) -> dict:
     raise UnsupportedAnnotationError(f"unsupported annotation: {annotation!r}")
 
 
-def annotation_from_obj(value, path: str = "annotation"):
-    obj = _obj(value, path)
-    tag = _tag(obj, path)
-    if tag == "FestoStateCorrelation":
-        _check_keys(obj, path, ["type", "cause", "duration", "effect"])
-        return TemporalCorrelation(
-            cause=state_from_obj(obj["cause"], f"{path}.cause"),
-            duration=duration_from_obj(obj["duration"], f"{path}.duration"),
-            effect=state_from_obj(obj["effect"], f"{path}.effect"),
-        )
-    if tag == "FestoStateConstraint":
-        _check_keys(obj, path, ["type", "cause", "durationRange", "effect"], ["inverse"])
-        inverse = obj.get("inverse", False)
-        if not isinstance(inverse, bool):
-            raise SchemaViolationError(f"{path}.inverse", "expected a boolean")
-        return TemporalConstraint(
-            cause=state_from_obj(obj["cause"], f"{path}.cause"),
-            range=duration_range_from_obj(obj["durationRange"], f"{path}.durationRange"),
-            effect=state_from_obj(obj["effect"], f"{path}.effect"),
-            inverse=inverse,
-        )
-    raise UnknownTypeTagError(tag)
-
-
 def _component_to_obj(component: ComponentId) -> dict:
     return {"type": "Component", "id": component.id}
-
-
-def _component_from_obj(value, path: str) -> ComponentId:
-    obj = _obj(value, path)
-    tag = _tag(obj, path)
-    if tag != "Component":
-        raise UnknownTypeTagError(tag)
-    _check_keys(obj, path, ["type", "id"])
-    if not isinstance(obj["id"], str) or not obj["id"]:
-        raise SchemaViolationError(f"{path}.id", "expected a non-empty string")
-    return ComponentId(obj["id"])
 
 
 def edge_to_obj(edge: EdgeAnn) -> dict:
@@ -278,37 +205,8 @@ def edge_to_obj(edge: EdgeAnn) -> dict:
     }
 
 
-def edge_from_obj(value, path: str = "edge") -> EdgeAnn:
-    obj = _obj(value, path)
-    tag = _tag(obj, path)
-    if tag != "EdgeAnnotated":
-        raise UnknownTypeTagError(tag)
-    _check_keys(obj, path, ["type", "source", "target", "annotation"])
-    return EdgeAnn(
-        source=_component_from_obj(obj["source"], f"{path}.source"),
-        target=_component_from_obj(obj["target"], f"{path}.target"),
-        annotation=annotation_from_obj(obj["annotation"], f"{path}.annotation"),
-    )
-
-
-def edge_from_json(text: str) -> EdgeAnn:
-    try:
-        value = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedJsonError(str(exc)) from exc
-    return edge_from_obj(value)
-
-
 def graph_to_obj(graph: AnnotatedGraph) -> list:
     return [edge_to_obj(edge) for edge in graph.edges]
-
-
-def graph_from_obj(value, path: str = "topology") -> AnnotatedGraph:
-    if not isinstance(value, list):
-        raise SchemaViolationError(path, "expected a list of edges")
-    return AnnotatedGraph(
-        tuple(edge_from_obj(item, f"{path}[{i}]") for i, item in enumerate(value))
-    )
 
 
 # -- live events and traces ------------------------------------------------------
@@ -331,23 +229,15 @@ def event_from_obj(
     if tag != "PhysicalEvent":
         raise UnknownTypeTagError(tag)
     _check_keys(obj, path, ["type", "component", "timepoint", "state"])
-    if not isinstance(obj["component"], str) or not obj["component"]:
-        raise SchemaViolationError(f"{path}.component", "expected a non-empty string")
-    device = ComponentId(obj["component"])
+    device = _component(obj["component"], f"{path}.component")
     if device not in kinds:
         raise UnknownDeviceError(device)
     return PhysicalEvent(
         device=device,
         kind=kinds[device],
         timepoint=TimePoint(_int(obj["timepoint"], f"{path}.timepoint")),
-        state=state_from_obj(obj["state"], f"{path}.state", require_signal=True),
+        state=state_from_obj(obj["state"], f"{path}.state"),
     )
-
-
-def _default_kinds() -> Mapping[ComponentId, DeviceKind]:
-    from .station import build_catalog
-
-    return build_catalog().devices
 
 
 def write_trace(target: Union[str, TextIO], events: Sequence[PhysicalEvent]) -> None:
@@ -364,17 +254,13 @@ def write_trace(target: Union[str, TextIO], events: Sequence[PhysicalEvent]) -> 
 
 
 def read_trace(
-    source: Union[str, TextIO],
-    kinds: Optional[Mapping[ComponentId, DeviceKind]] = None,
+    source: Union[str, TextIO], kinds: Mapping[ComponentId, DeviceKind]
 ) -> List[PhysicalEvent]:
     """Read a JSON-lines trace, validating shape and monotone timestamps.
 
-    Device kinds are resolved against the station catalog unless an
-    explicit mapping is given.
+    Device kinds are resolved against `kinds`, usually `catalog.devices`.
     """
     text = _read_text(source)
-    if kinds is None:
-        kinds = _default_kinds()
     events: List[PhysicalEvent] = []
     last = None
     for number, value in _json_lines(text):
@@ -406,16 +292,22 @@ def write_script(target: Union[str, TextIO], script: CommandScript) -> None:
 
 
 def read_script(source: Union[str, TextIO]) -> CommandScript:
-    commands = []
+    commands: List[Command] = []
     for number, value in _json_lines(_read_text(source)):
-        obj = _obj(value, f"line {number}")
-        _check_keys(obj, f"line {number}", ["time_ms", "actuator", "signal"])
+        path = f"line {number}"
+        obj = _obj(value, path)
+        _check_keys(obj, path, ["time_ms", "actuator", "signal"])
         if obj["signal"] not in (Signal.HIGH.value, Signal.LOW.value):
-            raise SchemaViolationError(f"line {number}.signal", "signal must be High or Low")
+            raise SchemaViolationError(f"{path}.signal", "signal must be High or Low")
+        time = _int(obj["time_ms"], f"{path}.time_ms")
+        if commands and time < commands[-1].time:
+            raise SchemaViolationError(
+                path, f"time_ms {time} is earlier than the previous line's {commands[-1].time}"
+            )
         commands.append(
             Command(
-                time=_int(obj["time_ms"], f"line {number}.time_ms"),
-                actuator=ComponentId(obj["actuator"]),
+                time=time,
+                actuator=_component(obj["actuator"], f"{path}.actuator"),
                 signal=Signal(obj["signal"]),
             )
         )
@@ -437,24 +329,30 @@ def faults_from_obj(value) -> List[FaultSpec]:
                 raise SchemaViolationError(
                     f"{path}.latency_ms", f"must be non-negative, got {latency_ms}"
                 )
+            transition = obj.get("transition")
+            if transition not in (None, ACTIVATE, DEACTIVATE):
+                raise SchemaViolationError(
+                    f"{path}.transition", f"must be activate or deactivate, got {transition!r}"
+                )
             out.append(
                 LatencyOverride(
-                    device=ComponentId(obj["device"]),
+                    device=_component(obj["device"], f"{path}.device"),
                     latency_ms=latency_ms,
-                    transition=obj.get("transition"),
+                    transition=transition,
                 )
             )
         elif kind == "stuck-sensor":
             _check_keys(obj, path, ["fault", "device", "state"])
             name = obj["state"]
-            if name not in KNOWN_STATE_NAMES:
-                raise UnknownTypeTagError(name)
-            out.append(StuckSensor(device=ComponentId(obj["device"]), state=abstract_state(name)))
+            if not isinstance(name, str) or name not in KNOWN_STATE_NAMES:
+                raise SchemaViolationError(f"{path}.state", f"unknown state {name!r}")
+            device = _component(obj["device"], f"{path}.device")
+            out.append(StuckSensor(device=device, state=abstract_state(name)))
         elif kind == "drop-events":
             _check_keys(obj, path, ["fault", "device"])
-            out.append(DropEvents(device=ComponentId(obj["device"])))
+            out.append(DropEvents(device=_component(obj["device"], f"{path}.device")))
         else:
-            raise UnknownTypeTagError(kind)
+            raise SchemaViolationError(f"{path}.fault", f"unknown fault kind {kind!r}")
     return out
 
 
@@ -474,15 +372,6 @@ def _signal_mapping_to_obj(mapping: SignalMapping) -> dict:
         Signal.HIGH.value: state_to_obj(mapping.high),
         Signal.LOW.value: state_to_obj(mapping.low),
     }
-
-
-def _signal_mapping_from_obj(value, path: str) -> SignalMapping:
-    obj = _obj(value, path)
-    _check_keys(obj, path, [Signal.HIGH.value, Signal.LOW.value])
-    return SignalMapping(
-        high=state_from_obj(obj[Signal.HIGH.value], f"{path}.High", require_signal=True),
-        low=state_from_obj(obj[Signal.LOW.value], f"{path}.Low", require_signal=True),
-    )
 
 
 def component_value_to_obj(value: ComponentValue) -> dict:
@@ -506,51 +395,11 @@ def component_value_to_obj(value: ComponentValue) -> dict:
     raise UnsupportedAnnotationError(f"unsupported value kind: {kind}")
 
 
-def component_value_from_obj(value, path: str = "value") -> ComponentValue:
-    obj = _obj(value, path)
-    _check_keys(obj, path, ["kind", "value"])
-    kind = obj["kind"]
-    payload = obj["value"]
-    if kind == ValueKind.STRING.value:
-        if not isinstance(payload, str):
-            raise SchemaViolationError(f"{path}.value", "expected a string")
-        return ComponentValue(payload)
-    if kind == ValueKind.INTEGER.value:
-        return ComponentValue(_int(payload, f"{path}.value"))
-    if kind == ValueKind.BOX.value:
-        if not isinstance(payload, list) or len(payload) != 6:
-            raise SchemaViolationError(f"{path}.value", "expected six coordinates")
-        coords = [_int(c, f"{path}.value[{i}]") for i, c in enumerate(payload)]
-        return ComponentValue(Box3D(*coords))
-    if kind == ValueKind.SIGNAL_MAP.value:
-        return ComponentValue(_signal_mapping_from_obj(payload, f"{path}.value"))
-    if kind == ValueKind.VARIATIONS.value:
-        if not isinstance(payload, list):
-            raise SchemaViolationError(f"{path}.value", "expected a list of positions")
-        return ComponentValue(Xor(tuple(Atom(ComponentValue(p)) for p in payload)))
-    if kind == ValueKind.STATE.value:
-        return ComponentValue(state_from_obj(payload, f"{path}.value"))
-    raise UnknownTypeTagError(kind)
-
-
 def description_to_obj(description: BeMapKV) -> list:
     return [
         {"key": key.id, "value": component_value_to_obj(value)}
         for key, value in description.entries
     ]
-
-
-def description_from_obj(value, path: str = "description") -> BeMapKV:
-    if not isinstance(value, list):
-        raise SchemaViolationError(path, "expected a list of entries")
-    entries = []
-    for i, item in enumerate(value):
-        obj = _obj(item, f"{path}[{i}]")
-        _check_keys(obj, f"{path}[{i}]", ["key", "value"])
-        entries.append(
-            (ComponentId(obj["key"]), component_value_from_obj(obj["value"], f"{path}[{i}].value"))
-        )
-    return BeMapKV(tuple(entries))
 
 
 def catalog_to_obj(catalog) -> dict:

@@ -106,12 +106,35 @@ def test_dot_without_topology_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
-def test_malformed_scenario_is_an_input_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{not json\n", "line 1: "),
+        (
+            '{"time_ms": 0, "actuator": "Loader Pickup", "signal": "High"}\n'
+            '{"time_ms": 10, "actuator": "", "signal": "Low"}\n',
+            "line 2.actuator: expected a non-empty string",
+        ),
+        (
+            '{"time_ms": 0, "actuator": 7, "signal": "High"}\n',
+            "line 1.actuator: expected a non-empty string",
+        ),
+        (
+            '{"time_ms": 500, "actuator": "Loader Pickup", "signal": "High"}\n'
+            '{"time_ms": 100, "actuator": "Loader Pickup", "signal": "Low"}\n',
+            "line 2: time_ms 100 is earlier than the previous line's 500",
+        ),
+    ],
+    ids=["bad-json", "empty-actuator", "non-string-actuator", "time-goes-back"],
+)
+def test_malformed_scenario_is_an_input_error(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("{not json\n")
-    trace = tmp_path / "trace.jsonl"
-    assert cli_main(["simulate", "--scenario", str(bad), "--out", str(trace)]) == 2
-    capsys.readouterr()
+    bad.write_text(text)
+    assert cli_main(["simulate", "--scenario", str(bad), "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_missing_scenario_file_is_an_input_error(tmp_path, capsys):
@@ -221,6 +244,22 @@ def test_monitor_tolerance_widens_correlations(scenario_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        ([], "model_dump.json"),
+        (["--topology", "all", "--format", "json"], "model_dump_all.json"),
+        (["--topology", "all", "--format", "dot"], "model_dump_all.dot"),
+    ],
+    ids=["catalog", "all-json", "all-dot"],
+)
+def test_model_dump_matches_its_golden_bytes(capsys, golden_dir, argv, golden):
+    assert cli_main(["model", "dump", *argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (golden_dir / golden).read_text()
+    assert captured.err == ""
+
+
 def test_model_dump_all_topologies_dot(capsys):
     assert cli_main(["model", "dump", "--topology", "all", "--format", "dot"]) == 0
     out = capsys.readouterr().out
@@ -251,8 +290,25 @@ def test_simulate_reads_scenario_from_stdin(tmp_path, capsys, monkeypatch):
             {"fault": "stuck-sensor", "device": "Stack Ejector Extend", "state": "Obstructed"},
             "not a sensor",
         ),
+        ({"fault": "drop-events", "device": ""}, "faults[0].device: expected a non-empty string"),
+        (
+            {"fault": "latency-override", "device": "Stack Ejector Extend", "latency_ms": 300,
+             "transition": "bogus"},
+            "faults[0].transition: must be activate or deactivate, got 'bogus'",
+        ),
+        (
+            {"fault": "stuck-sensor", "device": "Stack Empty", "state": "Active"},
+            "stuck-sensor fault on Stack Empty: state 'Active' is not mapped",
+        ),
+        (
+            {"fault": "stuck-sensor", "device": "Stack Empty", "state": []},
+            "faults[0].state: unknown state []",
+        ),
     ],
-    ids=["negative-latency", "stuck-actuator"],
+    ids=[
+        "negative-latency", "stuck-actuator", "empty-device", "bogus-transition",
+        "unmapped-stuck-state", "non-string-stuck-state",
+    ],
 )
 def test_out_of_range_fault_is_an_input_error(scenario_file, tmp_path, capsys, fault, message):
     faults = tmp_path / "faults.json"

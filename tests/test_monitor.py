@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from capstation.core.bemap import ComponentId
-from capstation.core.geometry import Box3D
 from capstation.core.timing import TimePoint
 from capstation.devices import (
     ACTIVE_HIGH,
@@ -169,10 +170,9 @@ def test_unknown_devices_rejected_when_catalog_bound(catalog):
         mon.ingest(ev(ComponentId("Ghost"), 0, ACTIVE_HIGH))
 
 
-def test_explicit_horizon_must_cover_lookbacks():
-    with pytest.raises(ValueError):
-        StreamMonitor([AVOIDANCE_RULE], MonitorConfig(history_horizon_ms=100))
-    StreamMonitor([AVOIDANCE_RULE], MonitorConfig(history_horizon_ms=500))
+def test_history_horizon_covers_the_largest_lookback():
+    assert StreamMonitor([AVOIDANCE_RULE, CAUSALITY_RULE]).horizon == 500
+    assert StreamMonitor([CAUSALITY_RULE]).horizon == 0
 
 
 def test_nominal_trace_has_zero_violations(catalog, nominal_trace):
@@ -289,11 +289,11 @@ def test_self_pairs_are_excluded(catalog):
 
 def test_injected_duplicate_box_overlaps_fully(catalog):
     probe = ComponentId("Probe")
-    report = check_spatial(
-        catalog,
-        devices=[STACK_EJECTOR_EXTENDED],
-        extra_boxes={probe: Box3D(53, 198, 4, 85, 208, 20)},
+    duplicate = catalog.description(STACK_EJECTOR_EXTENDED)
+    probed = dataclasses.replace(
+        catalog, descriptions={**catalog.descriptions, probe: duplicate}
     )
+    report = check_spatial(probed, devices=[STACK_EJECTOR_EXTENDED, probe])
     assert report.has_overlap
     assert report.overlapping[0].shared_volume == 5120
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capstation.core.bemap import ComponentId
-from capstation.core.graph import TemporalCorrelation
-from capstation.core.timing import TimePoint, relative_duration
+from capstation.core.graph import EdgeAnn, TemporalConstraint
+from capstation.core.timing import TimeDurationRange, TimePoint, relative_duration
 from capstation.devices import DeviceKind, DeviceState, PhysicalEvent, Signal, abstract_state
 from capstation.errors import (
     MalformedJsonError,
@@ -19,23 +19,13 @@ from capstation.errors import (
     UnknownTypeTagError,
     UnsupportedAnnotationError,
 )
-from capstation.station import (
-    LOADER_DROPPED_OFF,
-    LOADER_PICKED_UP,
-    TopologyName,
-    documented_edge,
-)
+from capstation.station import TopologyName, documented_edge
 from capstation.wire import (
     catalog_to_obj,
-    component_value_to_obj,
-    component_value_from_obj,
-    description_from_obj,
-    description_to_obj,
-    edge_from_json,
-    edge_from_obj,
     edge_to_obj,
     event_from_obj,
     event_to_obj,
+    read_faults,
     read_script,
     read_trace,
     write_script,
@@ -56,47 +46,47 @@ def test_documented_edges_serialize_to_the_golden_structure(catalog, golden_dir,
     assert ours == golden
 
 
-@pytest.mark.parametrize("topology", list(TopologyName), ids=lambda t: t.value)
-def test_golden_fixtures_decode_and_re_encode_identically(catalog, golden_dir, topology):
-    text = (golden_dir / GOLDEN_NAMES[topology]).read_text()
-    edge = edge_from_json(text)
-    assert edge_to_obj(edge) == json.loads(text)
-
-
-def test_decoded_process_edge_contents(golden_dir):
-    edge = edge_from_json((golden_dir / "process_sequence_edge.json").read_text())
-    assert edge.source == LOADER_PICKED_UP
-    assert edge.target == LOADER_DROPPED_OFF
-    assert isinstance(edge.annotation, TemporalCorrelation)
-    assert edge.annotation.duration.value_at_zero() == 3
-
-
 def test_negative_window_bound_survives_the_round_trip(catalog):
-    edge = documented_edge(catalog, TopologyName.AVOIDANCE)
-    obj = edge_to_obj(edge)
-    rebuilt = edge_from_obj(obj)
-    assert rebuilt == edge
-    assert rebuilt.annotation.range.minimum.value_at_zero() == -500
+    obj = edge_to_obj(documented_edge(catalog, TopologyName.AVOIDANCE))
     text = json.dumps(obj)
     assert '"expression": -500' in text
+    assert json.loads(text) == obj
 
 
-def test_unknown_type_tag_rejected():
+def test_inverse_constraint_writes_the_inverse_flag():
+    anchor = abstract_state("Active")
+    window = TimeDurationRange(relative_duration(anchor, 0), relative_duration(anchor, 100))
+
+    def annotation(inverse):
+        constraint = TemporalConstraint(anchor, window, abstract_state("Passive"), inverse)
+        return edge_to_obj(EdgeAnn(ComponentId("A"), ComponentId("B"), constraint))["annotation"]
+
+    assert annotation(True)["inverse"] is True
+    assert "inverse" not in annotation(False)
+
+
+def test_unknown_type_tag_rejected(catalog):
+    line = {"type": "Mystery", "component": "Stack Empty", "timepoint": 0,
+            "state": {"type": "Obstructed", "signal": "Low"}}
     with pytest.raises(UnknownTypeTagError):
-        edge_from_json('{"type": "Mystery"}')
+        read_trace(io.StringIO(json.dumps(line) + "\n"), kinds=catalog.devices)
 
 
 def test_truncated_json_rejected():
     with pytest.raises(MalformedJsonError):
-        edge_from_json('{"type": "EdgeAnnotated", "source"')
+        read_faults(io.StringIO('[{"fault": "drop-events", "device"'))
 
 
 def test_missing_keys_report_their_path(catalog):
-    obj = edge_to_obj(documented_edge(catalog, TopologyName.CAUSALITY))
-    del obj["annotation"]["durationRange"]
+    lines = [
+        {"type": "PhysicalEvent", "component": "Stack Empty", "timepoint": 0,
+         "state": {"type": "Obstructed", "signal": "Low"}},
+        {"type": "PhysicalEvent", "component": "Stack Empty", "timepoint": 10},
+    ]
+    text = "".join(json.dumps(line) + "\n" for line in lines)
     with pytest.raises(SchemaViolationError) as err:
-        edge_from_obj(obj)
-    assert "durationRange" in str(err.value)
+        read_trace(io.StringIO(text), kinds=catalog.devices)
+    assert str(err.value) == "line 2: missing key 'state'"
 
 
 def test_unannotated_edges_do_not_serialize():
@@ -113,10 +103,10 @@ def test_trace_round_trip(catalog, nominal_trace, tmp_path):
     assert back == nominal_trace
 
 
-def test_empty_trace_file_reads_back_empty(tmp_path):
+def test_empty_trace_file_reads_back_empty(catalog, tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    assert read_trace(str(path)) == []
+    assert read_trace(str(path), kinds=catalog.devices) == []
 
 
 def test_shuffled_trace_rejected(catalog, nominal_trace, tmp_path):
@@ -131,24 +121,17 @@ def test_shuffled_trace_rejected(catalog, nominal_trace, tmp_path):
     assert err.value.line is not None
 
 
-def test_malformed_trace_line_reports_its_number(tmp_path):
+def test_malformed_trace_line_reports_its_number(catalog, tmp_path):
     path = tmp_path / "broken.jsonl"
     path.write_text('{"type": "PhysicalEvent"\n')
     with pytest.raises(MalformedJsonError) as err:
-        read_trace(str(path))
+        read_trace(str(path), kinds=catalog.devices)
     assert err.value.line == 1
 
 
 def test_writing_unordered_events_is_rejected(catalog, nominal_trace):
     with pytest.raises(OutOfOrderEventError):
         write_trace(io.StringIO(), list(reversed(nominal_trace)))
-
-
-def test_trace_events_resolve_kinds_from_the_station_by_default(nominal_trace, tmp_path):
-    path = tmp_path / "trace.jsonl"
-    write_trace(str(path), nominal_trace)
-    back = read_trace(str(path))
-    assert [e.kind for e in back] == [e.kind for e in nominal_trace]
 
 
 def test_unknown_trace_device_rejected():
@@ -184,9 +167,6 @@ def test_script_round_trip(tmp_path):
 # -- structural round-trips over generated values -----------------------------------
 
 names = st.sampled_from(["Active", "Passive", "Obstructed", "Unobstructed", "Gripped", "Released"])
-spec_states = st.builds(
-    DeviceState, names, st.sampled_from([Signal.HIGH, Signal.LOW, Signal.DONT_CARE])
-)
 concrete_states = st.builds(DeviceState, names, st.sampled_from([Signal.HIGH, Signal.LOW]))
 device_ids = st.builds(ComponentId, st.text(min_size=1, max_size=10))
 
@@ -197,41 +177,6 @@ def test_event_round_trip(device, state, t):
     event = PhysicalEvent(device, DeviceKind.SENSOR, TimePoint(t), state)
     back = event_from_obj(event_to_obj(event), kinds={device: DeviceKind.SENSOR})
     assert back == event
-
-
-@settings(max_examples=100, deadline=None)
-@given(spec_states, st.integers(-5000, 5000), st.integers(-5000, 5000), spec_states, spec_states)
-def test_annotation_round_trip(anchor, lo, hi, cause, effect):
-    from capstation.core.graph import EdgeAnn, TemporalConstraint
-    from capstation.core.timing import TimeDurationRange
-
-    lo, hi = sorted((lo, hi))
-    edge = EdgeAnn(
-        ComponentId("A"),
-        ComponentId("B"),
-        TemporalConstraint(
-            cause,
-            TimeDurationRange(relative_duration(anchor, lo), relative_duration(anchor, hi)),
-            effect,
-            inverse=(lo + hi) % 2 == 0,
-        ),
-    )
-    assert edge_from_obj(edge_to_obj(edge)) == edge
-
-
-def test_description_round_trip(catalog):
-    for device in catalog.devices:
-        desc = catalog.description(device)
-        assert description_from_obj(description_to_obj(desc)) == desc
-
-
-def test_component_value_round_trip_all_kinds(catalog):
-    seen = set()
-    for desc in catalog.descriptions.values():
-        for _, value in desc.entries:
-            seen.add(value.kind)
-            assert component_value_from_obj(component_value_to_obj(value)) == value
-    assert len(seen) >= 5  # string, integer, box, signal mapping, variations
 
 
 def test_catalog_dump_shape(catalog):
@@ -249,13 +194,6 @@ def test_abstract_event_state_cannot_be_built():
         PhysicalEvent(
             ComponentId("Stack Empty"), DeviceKind.SENSOR, TimePoint(0), abstract_state("Obstructed")
         )
-
-
-def test_topology_graph_round_trip(catalog):
-    from capstation.wire import graph_from_obj, graph_to_obj
-
-    for graph in catalog.topologies.values():
-        assert graph_from_obj(graph_to_obj(graph)) == graph
 
 
 def test_trace_line_shape(nominal_trace):
