@@ -63,8 +63,8 @@ class UnknownActuatorError(ModelError):
 class UnknownDeviceError(ModelError):
     """An event or fault names a device absent from the catalog."""
 
-    def __init__(self, device):
-        super().__init__(f"unknown device: {device}")
+    def __init__(self, device, path=None):
+        super().__init__(f"{path + ': ' if path else ''}unknown device: {device}")
         self.device = device
 
 
@@ -91,8 +91,8 @@ class MalformedJsonError(ModelError):
 class UnknownTypeTagError(ModelError):
     """A JSON object carries a type tag this decoder does not know."""
 
-    def __init__(self, tag):
-        super().__init__(f"unknown type tag: {tag!r}")
+    def __init__(self, tag, path):
+        super().__init__(f"{path}: unknown type tag: {tag!r}")
         self.tag = tag
 
 

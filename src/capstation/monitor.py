@@ -4,25 +4,33 @@ Each topology edge compiles to a rule: when a cause state-change occurs on
 the source device at time tc, the effect state-change must occur on the
 target device within the closed window [tc+min, tc+max] (or, for inverse
 rules, must not).  Windows may start before the cause (negative minimum);
-a bounded history buffer serves those lookbacks.
+a history buffer bounded by the largest lookback serves them.
 
-Decision discipline, shared with the brute-force oracle used in tests:
+Each semantics is one step function, step(ob, event, t), which returns the
+(outcome, witness) deciding an open obligation, or None while it stays open.
+The monitor steps obligations on three occasions, in the same discipline as
+the brute-force oracle used in tests:
 
-* On each ingested event, new obligations open first, then the event is
-  matched against every open obligation (including the ones it just
-  opened), then obligations whose window lies strictly in the past expire.
-* The first matching effect event decides a non-inverse obligation:
-  before the window it is ViolatedEarly, inside Satisfied, after
-  ViolatedLate.  An obligation that expires before any matching effect is
-  seen becomes ViolatedMissing.
-* Inverse obligations are decided by an in-window match (ViolatedForbidden)
-  or by surviving past the window (Satisfied).
-* At finalization, obligations whose window has fully elapsed resolve as
-  if time had advanced; the rest are reported as Pending.
+* Opening: a cause event opens one obligation per rule it causes, stepped
+  first through retained events of its target (which ones depends on the
+  semantics, below); a decision there is taken at the cause time.
+* Ingest: every open obligation, the ones just opened included, is stepped
+  with the event.
+* Finalize: one more step at the end time, with no event; whatever is still
+  open is reported as Pending.
 
-The optional state-holds mode instead requires the target device's
-inferred state to equal (or, inverse, never equal) the effect state
-throughout the window.
+Event occurrence (the default): the first matching effect event decides a
+non-inverse obligation: before the window ViolatedEarly, inside Satisfied,
+after ViolatedLate; a window that elapses first is ViolatedMissing.  An
+inverse obligation is decided by an in-window match (ViolatedForbidden) or
+by its window elapsing (Satisfied).  Opening looks back only for a negative
+minimum, and only at events inside the window.
+
+State holds: the target device's inferred state must equal (inverse: never
+equal) the effect state throughout the window.  Opening steps through all
+the target's retained events, which also settle the state at the window
+start.  A live event at t settles the states before t and the end of the
+stream settles t itself, so at finalize both window ends are inclusive.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import enum
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core.bemap import ComponentId
 from .core.geometry import Box3D, intersection_volume
@@ -171,9 +179,55 @@ class _Obligation:
     cause_event: PhysicalEvent
     lo: int
     hi: int
-    # state-holds bookkeeping
+    # state holds only: whether the window start is checked, and the state there
     entered: bool = False
     last_target_event: Optional[PhysicalEvent] = None
+
+
+_Decision = Optional[Tuple[Outcome, Optional[PhysicalEvent]]]
+
+
+def _step_event(ob: _Obligation, event: Optional[PhysicalEvent], t: int) -> _Decision:
+    """Event occurrence: a matching effect event decides, an elapsed window expires."""
+    rule = ob.rule
+    matched = event is not None and event.device == rule.target
+    if matched and state_matches(rule.effect, event.state):
+        if not rule.inverse:
+            if t < ob.lo:
+                return Outcome.VIOLATED_EARLY, event
+            return (Outcome.SATISFIED if t <= ob.hi else Outcome.VIOLATED_LATE), event
+        if ob.lo <= t <= ob.hi:
+            return Outcome.VIOLATED_FORBIDDEN, event
+    if ob.hi < t:
+        return (Outcome.SATISFIED if rule.inverse else Outcome.VIOLATED_MISSING), None
+    return None
+
+
+def _step_state(ob: _Obligation, event: Optional[PhysicalEvent], t: int) -> _Decision:
+    """State holds: the target's state at the window start, then each of its
+    in-window events, must match the effect (inverse: must not)."""
+    rule = ob.rule
+    broken = Outcome.VIOLATED_FORBIDDEN if rule.inverse else Outcome.VIOLATED_MISSING
+    # a live event at t leaves later events at t to come; the end of the
+    # stream settles t itself
+    settled = t if event is None else t - 1
+    if not ob.entered and settled >= ob.lo:
+        ob.entered = True
+        start = ob.last_target_event
+        if (start is not None and state_matches(rule.effect, start.state)) == rule.inverse:
+            return broken, start
+    if ob.entered and settled >= ob.hi:
+        return Outcome.SATISFIED, None
+    if event is None or event.device != rule.target:
+        return None
+    if not ob.entered:
+        ob.last_target_event = event
+    elif state_matches(rule.effect, event.state) == rule.inverse:
+        return broken, event
+    return None
+
+
+_STEPS = {Semantics.EVENT_OCCURRENCE: _step_event, Semantics.STATE_HOLDS: _step_state}
 
 
 class StreamMonitor:
@@ -185,52 +239,55 @@ class StreamMonitor:
         cfg: Optional[MonitorConfig] = None,
         known_devices: Optional[Iterable[ComponentId]] = None,
     ):
-        self.rules = list(rules)
-        self.cfg = cfg or MonitorConfig()
-        self.horizon = auto_horizon(self.rules)
+        rules = list(rules)
+        self._step = _STEPS[(cfg or MonitorConfig()).semantics]
+        self.horizon = auto_horizon(rules)
         self.known = None if known_devices is None else set(known_devices)
+        self._rules_by_source: Dict[ComponentId, List[CompiledRule]] = {}
+        for rule in rules:
+            self._rules_by_source.setdefault(rule.source, []).append(rule)
         self.last_time: Optional[int] = None
         self.pending: List[_Obligation] = []
         self.history: deque = deque()
         self._pruned_last: Dict[ComponentId, PhysicalEvent] = {}
 
-    # -- shared plumbing ---------------------------------------------------
-
-    def _verdict(
-        self,
-        ob: _Obligation,
-        outcome: Outcome,
-        witness: Optional[PhysicalEvent],
-        decided_at: int,
-        out: List[Verdict],
-    ) -> None:
-        out.append(
-            Verdict(ob.rule, ob.cause_event, outcome, witness, decided_at, (ob.lo, ob.hi))
-        )
+    def _decide(
+        self, ob: _Obligation, outcome: Outcome, witness: Optional[PhysicalEvent], at: int
+    ) -> Verdict:
+        """Every verdict is built here, from the obligation it decides."""
+        return Verdict(ob.rule, ob.cause_event, outcome, witness, at, (ob.lo, ob.hi))
 
     def _prune(self, now: int) -> None:
         while self.history and self.history[0].timepoint.t < now - self.horizon:
             old = self.history.popleft()
             self._pruned_last[old.device] = old
 
-    def _state_event_at(self, device: ComponentId, t: int) -> Optional[PhysicalEvent]:
-        """Latest retained event of `device` with timepoint <= t."""
-        for ev in reversed(self.history):
-            if ev.device == device and ev.timepoint.t <= t:
-                return ev
-        old = self._pruned_last.get(device)
-        if old is not None and old.timepoint.t <= t:
-            return old
-        return None
+    def _lookback(self, ob: _Obligation) -> Iterable[PhysicalEvent]:
+        """Retained events of ob's target that opening steps ob through, oldest first."""
+        target = ob.rule.target
+        if self._step is _step_state:  # those up to the window start settle its state
+            return (p for p in self.history if p.device == target)
+        if ob.rule.min_ms >= 0:
+            return ()
+        return (
+            p for p in self.history if p.device == target and ob.lo <= p.timepoint.t <= ob.hi
+        )
 
-    def _rules_caused_by(self, event: PhysicalEvent) -> Iterator[CompiledRule]:
-        """Rules, in order, whose cause the event is; both semantics open
-        their obligations from these."""
-        for rule in self.rules:
-            if rule.source == event.device and state_matches(rule.cause, event.state):
-                yield rule
-
-    # -- ingest ------------------------------------------------------------
+    def _open(self, cause: PhysicalEvent, t: int, out: List[Verdict]) -> None:
+        for rule in self._rules_by_source.get(cause.device, ()):
+            if not state_matches(rule.cause, cause.state):
+                continue
+            ob = _Obligation(
+                rule, cause, t + rule.min_ms, t + rule.max_ms,
+                last_target_event=self._pruned_last.get(rule.target),
+            )
+            for past in self._lookback(ob):
+                decided = self._step(ob, past, past.timepoint.t)
+                if decided is not None:
+                    out.append(self._decide(ob, *decided, t))
+                    break
+            else:
+                self.pending.append(ob)
 
     def ingest(self, event: PhysicalEvent) -> List[Verdict]:
         """Feed the next event; returns the verdicts it decided."""
@@ -238,141 +295,22 @@ class StreamMonitor:
             raise UnknownDeviceError(event.device)
         t = event.timepoint.t
         if self.last_time is not None and t < self.last_time:
-            raise OutOfOrderEventError(
-                f"event at {t} after event at {self.last_time}"
-            )
+            raise OutOfOrderEventError(f"event at {t} after event at {self.last_time}")
         self.last_time = t
         self._prune(t)
         out: List[Verdict] = []
-        if self.cfg.semantics is Semantics.EVENT_OCCURRENCE:
-            self._ingest_event_mode(event, t, out)
-        else:
-            self._ingest_state_mode(event, t, out)
+        self._open(event, t, out)
+        step = self._step
+        still_open: List[_Obligation] = []
+        for ob in self.pending:
+            decided = step(ob, event, t)
+            if decided is None:
+                still_open.append(ob)
+            else:
+                out.append(self._decide(ob, *decided, t))
+        self.pending = still_open
         self.history.append(event)
         return out
-
-    # -- event-occurrence semantics -----------------------------------------
-
-    def _open_event_mode(self, event: PhysicalEvent, t: int, out: List[Verdict]) -> None:
-        for rule in self._rules_caused_by(event):
-            ob = _Obligation(rule, event, t + rule.min_ms, t + rule.max_ms)
-            if rule.min_ms < 0:
-                hit = None
-                for past in self.history:  # oldest first
-                    if (
-                        past.device == rule.target
-                        and state_matches(rule.effect, past.state)
-                        and ob.lo <= past.timepoint.t <= ob.hi
-                    ):
-                        hit = past
-                        break
-                if hit is not None:
-                    outcome = Outcome.VIOLATED_FORBIDDEN if rule.inverse else Outcome.SATISFIED
-                    self._verdict(ob, outcome, hit, t, out)
-                    continue
-            self.pending.append(ob)
-
-    def _ingest_event_mode(self, event: PhysicalEvent, t: int, out: List[Verdict]) -> None:
-        self._open_event_mode(event, t, out)
-        survivors: List[_Obligation] = []
-        for ob in self.pending:
-            rule = ob.rule
-            if rule.target == event.device and state_matches(rule.effect, event.state):
-                if rule.inverse:
-                    if ob.lo <= t <= ob.hi:
-                        self._verdict(ob, Outcome.VIOLATED_FORBIDDEN, event, t, out)
-                        continue
-                else:
-                    if t < ob.lo:
-                        self._verdict(ob, Outcome.VIOLATED_EARLY, event, t, out)
-                    elif t <= ob.hi:
-                        self._verdict(ob, Outcome.SATISFIED, event, t, out)
-                    else:
-                        self._verdict(ob, Outcome.VIOLATED_LATE, event, t, out)
-                    continue
-            if ob.hi < t:  # window elapsed with no deciding effect
-                outcome = Outcome.SATISFIED if rule.inverse else Outcome.VIOLATED_MISSING
-                self._verdict(ob, outcome, None, t, out)
-                continue
-            survivors.append(ob)
-        self.pending = survivors
-
-    # -- state-holds semantics ----------------------------------------------
-
-    def _enter_state_mode(
-        self, ob: _Obligation, decided_at: int, out: List[Verdict]
-    ) -> bool:
-        """Evaluate the state at the window start; True when ob stays open."""
-        ob.entered = True
-        start = ob.last_target_event
-        held = start is not None and state_matches(ob.rule.effect, start.state)
-        if ob.rule.inverse:
-            if held:
-                self._verdict(ob, Outcome.VIOLATED_FORBIDDEN, start, decided_at, out)
-                return False
-        elif not held:
-            self._verdict(ob, Outcome.VIOLATED_MISSING, start, decided_at, out)
-            return False
-        return True
-
-    def _open_state_mode(self, event: PhysicalEvent, t: int, out: List[Verdict]) -> None:
-        for rule in self._rules_caused_by(event):
-            ob = _Obligation(rule, event, t + rule.min_ms, t + rule.max_ms)
-            ob.last_target_event = self._state_event_at(rule.target, min(ob.lo, t))
-            if ob.lo < t:
-                # window opened in the past: replay retained in-window events
-                if not self._enter_state_mode(ob, t, out):
-                    continue
-                dead = False
-                for past in self.history:
-                    pt = past.timepoint.t
-                    if past.device != rule.target or not (ob.lo < pt <= min(ob.hi, t)):
-                        continue
-                    held = state_matches(rule.effect, past.state)
-                    if rule.inverse and held:
-                        self._verdict(ob, Outcome.VIOLATED_FORBIDDEN, past, t, out)
-                        dead = True
-                        break
-                    if not rule.inverse and not held:
-                        self._verdict(ob, Outcome.VIOLATED_MISSING, past, t, out)
-                        dead = True
-                        break
-                if dead:
-                    continue
-                if ob.hi < t:  # window already fully elapsed and it held
-                    self._verdict(ob, Outcome.SATISFIED, None, t, out)
-                    continue
-            self.pending.append(ob)
-
-    def _ingest_state_mode(self, event: PhysicalEvent, t: int, out: List[Verdict]) -> None:
-        self._open_state_mode(event, t, out)
-        survivors: List[_Obligation] = []
-        for ob in self.pending:
-            rule = ob.rule
-            if not ob.entered and t > ob.lo:
-                if not self._enter_state_mode(ob, t, out):
-                    continue
-            if ob.entered and ob.hi < t:
-                self._verdict(ob, Outcome.SATISFIED, None, t, out)
-                continue
-            if event.device == rule.target:
-                if not ob.entered:
-                    if t <= ob.lo:
-                        ob.last_target_event = event
-                    survivors.append(ob)
-                    continue
-                if t <= ob.hi:
-                    held = state_matches(rule.effect, event.state)
-                    if rule.inverse and held:
-                        self._verdict(ob, Outcome.VIOLATED_FORBIDDEN, event, t, out)
-                        continue
-                    if not rule.inverse and not held:
-                        self._verdict(ob, Outcome.VIOLATED_MISSING, event, t, out)
-                        continue
-            survivors.append(ob)
-        self.pending = survivors
-
-    # -- finalization --------------------------------------------------------
 
     def finalize(self, end_time: int) -> List[Verdict]:
         """Resolve obligations as if time advanced to end_time.
@@ -382,25 +320,9 @@ class StreamMonitor:
         if self.last_time is not None and end_time < self.last_time:
             raise ValueError("end time precedes the last ingested event")
         out: List[Verdict] = []
-        event_mode = self.cfg.semantics is Semantics.EVENT_OCCURRENCE
         for ob in self.pending:
-            if event_mode:
-                if ob.hi < end_time:
-                    outcome = (
-                        Outcome.SATISFIED if ob.rule.inverse else Outcome.VIOLATED_MISSING
-                    )
-                    self._verdict(ob, outcome, None, end_time, out)
-                else:
-                    self._verdict(ob, Outcome.PENDING, None, end_time, out)
-                continue
-            # state-holds: the whole timeline is known up to end_time
-            if not ob.entered and end_time >= ob.lo:
-                if not self._enter_state_mode(ob, end_time, out):
-                    continue
-            if ob.entered and end_time >= ob.hi:
-                self._verdict(ob, Outcome.SATISFIED, None, end_time, out)
-            else:
-                self._verdict(ob, Outcome.PENDING, None, end_time, out)
+            outcome, witness = self._step(ob, None, end_time) or (Outcome.PENDING, None)
+            out.append(self._decide(ob, outcome, witness, end_time))
         self.pending = []
         return out
 

@@ -121,7 +121,7 @@ def state_from_obj(value, path: str) -> DeviceState:
     obj = _obj(value, path)
     tag = _tag(obj, path)
     if tag not in KNOWN_STATE_NAMES:
-        raise UnknownTypeTagError(tag)
+        raise UnknownTypeTagError(tag, path)
     _check_keys(obj, path, ["type", "signal"])
     level = obj["signal"]
     if level not in (Signal.HIGH.value, Signal.LOW.value):
@@ -227,11 +227,11 @@ def event_from_obj(
     obj = _obj(value, path)
     tag = _tag(obj, path)
     if tag != "PhysicalEvent":
-        raise UnknownTypeTagError(tag)
+        raise UnknownTypeTagError(tag, path)
     _check_keys(obj, path, ["type", "component", "timepoint", "state"])
     device = _component(obj["component"], f"{path}.component")
     if device not in kinds:
-        raise UnknownDeviceError(device)
+        raise UnknownDeviceError(device, f"{path}.component")
     return PhysicalEvent(
         device=device,
         kind=kinds[device],

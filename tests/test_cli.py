@@ -155,6 +155,43 @@ def test_shuffled_trace_is_an_input_error(scenario_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+_GOOD_TRACE_LINE = (
+    '{"type": "PhysicalEvent", "component": "Stack Empty", "timepoint": 0, '
+    '"state": {"type": "Passive", "signal": "Low"}}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (
+            '{"type": "Mystery", "component": "Stack Empty", "timepoint": 5, '
+            '"state": {"type": "Passive", "signal": "Low"}}\n',
+            "line 2: unknown type tag: 'Mystery'",
+        ),
+        (
+            '{"type": "PhysicalEvent", "component": "Ghost", "timepoint": 5, '
+            '"state": {"type": "Passive", "signal": "Low"}}\n',
+            "line 2.component: unknown device: Ghost",
+        ),
+        (
+            '{"type": "PhysicalEvent", "component": "Stack Empty", "timepoint": 5, '
+            '"state": {"type": "Bogus", "signal": "Low"}}\n',
+            "line 2.state: unknown type tag: 'Bogus'",
+        ),
+    ],
+    ids=["unknown-event-type", "unknown-device", "unknown-state-type"],
+)
+def test_malformed_trace_is_a_located_input_error(tmp_path, capsys, line, message):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(_GOOD_TRACE_LINE + line)
+    assert cli_main(["monitor", "--trace", str(trace), "--topology", "all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_unknown_subcommand_is_a_usage_error(capsys):
     assert cli_main(["frobnicate"]) == 2
     capsys.readouterr()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -212,7 +213,10 @@ def test_state_holds_matches_its_oracle(rules, trace):
     )
 
 
-def test_seeded_medium_traces_match_oracle():
+@pytest.mark.parametrize("semantics", list(Semantics), ids=lambda s: s.value)
+def test_seeded_medium_traces_match_oracle(semantics):
+    cfg = MonitorConfig(semantics=semantics)
+    state_mode = semantics is Semantics.STATE_HOLDS
     rng = random.Random(20240811)
     for _ in range(40):
         rules = [
@@ -239,7 +243,7 @@ def test_seeded_medium_traces_match_oracle():
                     DeviceState(rng.choice(NAMES), rng.choice(SIGNALS)),
                 )
             )
-        verdicts = run_monitor(rules, trace)
+        verdicts = run_monitor(rules, trace, cfg)
         assert monitor_entries(verdicts, trace) == oracle_entries(
-            rules, trace, trace[-1].timepoint.t, auto_horizon(rules)
+            rules, trace, trace[-1].timepoint.t, auto_horizon(rules), state_mode=state_mode
         )
