@@ -4,7 +4,8 @@ Each topology edge compiles to a rule: when a cause state-change occurs on
 the source device at time tc, the effect state-change must occur on the
 target device within the closed window [tc+min, tc+max] (or, for inverse
 rules, must not).  Windows may start before the cause (negative minimum);
-a history buffer bounded by the largest lookback serves them.
+the events of each rule target, retained back to the largest lookback,
+serve them.
 
 Each semantics is one step function, step(ob, event, t), which returns the
 (outcome, witness) deciding an open obligation, or None while it stays open.
@@ -14,8 +15,14 @@ the brute-force oracle used in tests:
 * Opening: a cause event opens one obligation per rule it causes, stepped
   first through retained events of its target (which ones depends on the
   semantics, below); a decision there is taken at the cause time.
-* Ingest: every open obligation, the ones just opened included, is stepped
-  with the event.
+* Ingest: the event steps the open obligations whose target is its device,
+  the ones just opened included, and those whose wake time has come.  The
+  wake time is the first time at which an event on another device can
+  decide or change an obligation: hi + 1 in event occurrence; in state
+  holds lo + 1 until the window start is settled, then hi + 1.  Before it,
+  such a step returns None and changes nothing, so skipping it gives the
+  verdicts that stepping every open obligation gives.  The verdicts of one
+  ingest call come in no promised order; check_trace sorts them.
 * Finalize: one more step at the end time, with no event; whatever is still
   open is reported as Pending.
 
@@ -36,6 +43,7 @@ stream settles t itself, so at finalize both window ends are inclusive.
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -173,7 +181,7 @@ class Verdict:
         return self.cause_event.timepoint.t
 
 
-@dataclass
+@dataclass(eq=False)
 class _Obligation:
     rule: CompiledRule
     cause_event: PhysicalEvent
@@ -203,6 +211,11 @@ def _step_event(ob: _Obligation, event: Optional[PhysicalEvent], t: int) -> _Dec
     return None
 
 
+def _wake_event(ob: _Obligation) -> int:
+    """First time an event on another device decides ob: once its window elapsed."""
+    return ob.hi + 1
+
+
 def _step_state(ob: _Obligation, event: Optional[PhysicalEvent], t: int) -> _Decision:
     """State holds: the target's state at the window start, then each of its
     in-window events, must match the effect (inverse: must not)."""
@@ -227,7 +240,19 @@ def _step_state(ob: _Obligation, event: Optional[PhysicalEvent], t: int) -> _Dec
     return None
 
 
-_STEPS = {Semantics.EVENT_OCCURRENCE: _step_event, Semantics.STATE_HOLDS: _step_state}
+def _wake_state(ob: _Obligation) -> int:
+    """First time an event on another device steps ob: it settles the window
+    start at lo + 1 (entering it), then the window end at hi + 1."""
+    return (ob.hi if ob.entered else ob.lo) + 1
+
+
+# each semantics: its step function, and the wake time of an open obligation,
+# before which stepping it with another device's event returns None and
+# changes nothing
+_STEPS = {
+    Semantics.EVENT_OCCURRENCE: (_step_event, _wake_event),
+    Semantics.STATE_HOLDS: (_step_state, _wake_state),
+}
 
 
 class StreamMonitor:
@@ -240,16 +265,28 @@ class StreamMonitor:
         known_devices: Optional[Iterable[ComponentId]] = None,
     ):
         rules = list(rules)
-        self._step = _STEPS[(cfg or MonitorConfig()).semantics]
+        self._step, self._wake = _STEPS[(cfg or MonitorConfig()).semantics]
         self.horizon = auto_horizon(rules)
-        self.known = None if known_devices is None else set(known_devices)
-        self._rules_by_source: Dict[ComponentId, List[CompiledRule]] = {}
+        # every dict below is keyed by ComponentId.id: a str caches its hash
+        self.known = None if known_devices is None else {d.id for d in known_devices}
+        self._rules_by_source: Dict[str, List[CompiledRule]] = {}
         for rule in rules:
-            self._rules_by_source.setdefault(rule.source, []).append(rule)
+            self._rules_by_source.setdefault(rule.source.id, []).append(rule)
         self.last_time: Optional[int] = None
-        self.pending: List[_Obligation] = []
-        self.history: deque = deque()
-        self._pruned_last: Dict[ComponentId, PhysicalEvent] = {}
+        # open obligations of each rule target, in opening order (a dict as an
+        # ordered set, so that removal is O(1))
+        self._open_on: Dict[str, Dict[_Obligation, None]] = {r.target.id: {} for r in rules}
+        # one (wake time, tie-break, obligation) entry per open obligation,
+        # its time never later than the obligation's wake time; entries of
+        # decided obligations are dropped when popped
+        self._wakes: List[Tuple[int, int, _Obligation]] = []
+        self._tie = itertools.count()
+        # retained events of each rule target, kept only if some rule looks back
+        looks_back = self._step is _step_state or self.horizon > 0
+        self._history: Dict[str, deque] = (
+            {r.target.id: deque() for r in rules} if looks_back else {}
+        )
+        self._pruned_last: Dict[str, PhysicalEvent] = {}
 
     def _decide(
         self, ob: _Obligation, outcome: Outcome, witness: Optional[PhysicalEvent], at: int
@@ -257,59 +294,81 @@ class StreamMonitor:
         """Every verdict is built here, from the obligation it decides."""
         return Verdict(ob.rule, ob.cause_event, outcome, witness, at, (ob.lo, ob.hi))
 
-    def _prune(self, now: int) -> None:
-        while self.history and self.history[0].timepoint.t < now - self.horizon:
-            old = self.history.popleft()
-            self._pruned_last[old.device] = old
+    def _retained(self, device: str, now: int) -> Optional[deque]:
+        """The retained events of a rule target, pruned to the horizon before `now`."""
+        events = self._history.get(device)
+        if events is not None:
+            cutoff = now - self.horizon
+            while events and events[0].timepoint.t < cutoff:
+                self._pruned_last[device] = events.popleft()
+        return events
 
-    def _lookback(self, ob: _Obligation) -> Iterable[PhysicalEvent]:
+    def _lookback(self, ob: _Obligation, retained: Optional[deque]) -> Iterable[PhysicalEvent]:
         """Retained events of ob's target that opening steps ob through, oldest first."""
-        target = ob.rule.target
         if self._step is _step_state:  # those up to the window start settle its state
-            return (p for p in self.history if p.device == target)
+            return retained
         if ob.rule.min_ms >= 0:
             return ()
-        return (
-            p for p in self.history if p.device == target and ob.lo <= p.timepoint.t <= ob.hi
-        )
+        return (p for p in retained if ob.lo <= p.timepoint.t <= ob.hi)
+
+    def _schedule(self, ob: _Obligation) -> None:
+        heapq.heappush(self._wakes, (self._wake(ob), next(self._tie), ob))
 
     def _open(self, cause: PhysicalEvent, t: int, out: List[Verdict]) -> None:
-        for rule in self._rules_by_source.get(cause.device, ()):
+        for rule in self._rules_by_source.get(cause.device.id, ()):
             if not state_matches(rule.cause, cause.state):
                 continue
+            target = rule.target.id
+            retained = self._retained(target, t)
             ob = _Obligation(
                 rule, cause, t + rule.min_ms, t + rule.max_ms,
-                last_target_event=self._pruned_last.get(rule.target),
+                last_target_event=self._pruned_last.get(target),
             )
-            for past in self._lookback(ob):
+            for past in self._lookback(ob, retained):
                 decided = self._step(ob, past, past.timepoint.t)
                 if decided is not None:
                     out.append(self._decide(ob, *decided, t))
                     break
             else:
-                self.pending.append(ob)
+                self._open_on[target][ob] = None
+                self._schedule(ob)
 
     def ingest(self, event: PhysicalEvent) -> List[Verdict]:
-        """Feed the next event; returns the verdicts it decided."""
-        if self.known is not None and event.device not in self.known:
+        """Feed the next event; returns the verdicts it decided, in no promised order."""
+        device = event.device.id
+        if self.known is not None and device not in self.known:
             raise UnknownDeviceError(event.device)
         t = event.timepoint.t
         if self.last_time is not None and t < self.last_time:
             raise OutOfOrderEventError(f"event at {t} after event at {self.last_time}")
         self.last_time = t
-        self._prune(t)
         out: List[Verdict] = []
         self._open(event, t, out)
         step = self._step
-        still_open: List[_Obligation] = []
-        for ob in self.pending:
-            decided = step(ob, event, t)
-            if decided is None:
-                still_open.append(ob)
-            else:
-                out.append(self._decide(ob, *decided, t))
-        self.pending = still_open
-        self.history.append(event)
+        mine = self._open_on.get(device)
+        if mine:
+            for ob in list(mine):
+                decided = step(ob, event, t)
+                if decided is not None:
+                    del mine[ob]
+                    out.append(self._decide(ob, *decided, t))
+        wakes = self._wakes
+        while wakes and wakes[0][0] <= t:
+            ob = heapq.heappop(wakes)[2]
+            bucket = self._open_on[ob.rule.target.id]
+            if ob not in bucket:
+                continue
+            # a step on its own device may have moved its wake time past t
+            if self._wake(ob) <= t:
+                decided = step(ob, event, t)
+                if decided is not None:
+                    del bucket[ob]
+                    out.append(self._decide(ob, *decided, t))
+                    continue
+            self._schedule(ob)
+        retained = self._retained(device, t)
+        if retained is not None:
+            retained.append(event)
         return out
 
     def finalize(self, end_time: int) -> List[Verdict]:
@@ -320,10 +379,12 @@ class StreamMonitor:
         if self.last_time is not None and end_time < self.last_time:
             raise ValueError("end time precedes the last ingested event")
         out: List[Verdict] = []
-        for ob in self.pending:
-            outcome, witness = self._step(ob, None, end_time) or (Outcome.PENDING, None)
-            out.append(self._decide(ob, outcome, witness, end_time))
-        self.pending = []
+        for bucket in self._open_on.values():
+            for ob in bucket:
+                outcome, witness = self._step(ob, None, end_time) or (Outcome.PENDING, None)
+                out.append(self._decide(ob, outcome, witness, end_time))
+            bucket.clear()
+        self._wakes.clear()
         return out
 
 

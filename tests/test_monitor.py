@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -270,6 +271,85 @@ def test_state_holds_avoidance_reading_of_nominal_trace(catalog, nominal_trace):
     verdicts = check_trace(catalog, TopologyName.AVOIDANCE, nominal_trace, STATE_CFG)
     assert len(verdicts) == 1
     assert verdicts[0].outcome is Outcome.VIOLATED_MISSING
+
+
+# -- the schedule: stepping only the obligations an event can decide ------------
+
+
+@pytest.mark.parametrize("semantics", list(Semantics))
+@pytest.mark.parametrize("cause_t, lo, hi", [(1000, -500, -100), (0, -10, -1)])
+def test_window_wholly_before_its_cause_is_missing_at_the_cause(semantics, cause_t, lo, hi):
+    # (0, -10, -1) puts the wake time hi + 1 at 0, the cause time
+    mon = StreamMonitor(
+        [rule(EXT, RET, "Active", "Unobstructed", lo, hi)], MonitorConfig(semantics=semantics)
+    )
+    verdicts = mon.ingest(ev(EXT, cause_t, ACTIVE_HIGH))
+    assert [v.outcome for v in verdicts] == [Outcome.VIOLATED_MISSING]
+    assert verdicts[0].witness is None
+    assert verdicts[0].decided_at == cause_t
+    assert verdicts[0].window == (cause_t + lo, cause_t + hi)
+
+
+def test_unrelated_event_expires_a_window_only_after_its_end():
+    mon = StreamMonitor([CAUSALITY_RULE])
+    assert mon.ingest(ev(EXT, 1000, ACTIVE_HIGH)) == []
+    assert mon.ingest(ev(LOADER_PICKUP, 1300, ACTIVE_HIGH)) == []
+    verdicts = mon.ingest(ev(LOADER_PICKUP, 1301, PASSIVE_LOW))
+    assert [v.outcome for v in verdicts] == [Outcome.VIOLATED_MISSING]
+    assert verdicts[0].witness is None
+    assert verdicts[0].decided_at == 1301
+
+
+def test_unrelated_event_enters_a_state_window_after_its_start():
+    held = rule(EXT, RET, "Active", "Obstructed", 100, 300)  # window [150, 350]
+    broken = StreamMonitor([held], STATE_CFG)
+    start = ev(RET, 0, UNOBSTRUCTED_LOW)
+    at_lo = ev(LOADER_PICKUP, 150, PASSIVE_LOW)
+    assert feed(broken, [start, ev(EXT, 50, ACTIVE_HIGH), at_lo]) == []
+    verdicts = broken.ingest(ev(LOADER_PICKUP, 151, ACTIVE_HIGH))
+    assert [v.outcome for v in verdicts] == [Outcome.VIOLATED_MISSING]
+    assert verdicts[0].witness is start
+    assert verdicts[0].decided_at == 151
+
+    kept = StreamMonitor([held], STATE_CFG)
+    quiet = [ev(LOADER_PICKUP, t, PASSIVE_LOW) for t in (151, 350)]
+    assert feed(kept, [ev(RET, 0, OBSTRUCTED_HIGH), ev(EXT, 50, ACTIVE_HIGH), *quiet]) == []
+    verdicts = kept.ingest(ev(LOADER_PICKUP, 351, ACTIVE_HIGH))
+    assert [v.outcome for v in verdicts] == [Outcome.SATISFIED]
+    assert verdicts[0].witness is None
+    assert verdicts[0].decided_at == 351
+
+
+@pytest.mark.parametrize("semantics", list(Semantics))
+def test_memory_stays_flat_over_a_long_stream(semantics):
+    # obligations on a target that never emits are only ever expired; the
+    # third rule's are decided by their target while still in the wake heap;
+    # the inverse rule's 300 ms lookback retains its target's events.  Decided
+    # obligations and events older than the lookback must all be let go.
+    a, b, silent = ComponentId("A"), ComponentId("B"), ComponentId("Silent")
+    mon = StreamMonitor(
+        [
+            rule(a, silent, "Active", "Active", 0, 200),
+            rule(a, b, "Active", "Active", -300, 100, inverse=True, index=1),
+            rule(a, b, "Active", "Active", 0, 100, index=2),
+        ],
+        MonitorConfig(semantics=semantics),
+    )
+    states = (ACTIVE_HIGH, PASSIVE_LOW)
+
+    def stream(start, stop):
+        for i in range(start, stop):
+            mon.ingest(ev((a, b)[i % 2], 4 * i, states[i // 2 % 2]))
+
+    tracemalloc.start()
+    try:
+        stream(0, 5_000)
+        at_5k = tracemalloc.get_traced_memory()[0]
+        stream(5_000, 50_000)
+        at_50k = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert at_50k <= at_5k + 32 * 1024
 
 
 # -- spatial consistency -----------------------------------------------------------
