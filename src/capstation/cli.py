@@ -12,7 +12,6 @@ import sys
 from typing import List, Optional
 
 from .core.bemap import ComponentId
-from .devices import DeviceKind
 from .dot import render_dot
 from .errors import ModelError
 from .monitor import MonitorConfig, Semantics, SequenceUnit, check_spatial, check_trace, violations
@@ -127,8 +126,8 @@ def _cmd_monitor(args) -> int:
     topology = "all" if args.topology == "all" else _TOPOLOGY_FLAGS[args.topology]
     verdicts = check_trace(catalog, topology, trace, cfg)
     bad = violations(verdicts)
-    report = [verdict_to_obj(v) for v in verdicts]
     if args.report:
+        report = [verdict_to_obj(v) for v in verdicts]
         report_out = sys.stdout if args.report == "-" else args.report
         _write_text(report_out, json.dumps(report, indent=2) + "\n")
     summary = {
@@ -153,7 +152,7 @@ def _cmd_check_spatial(args) -> int:
     elif args.all:
         pool = None
     else:
-        pool = [d for d in catalog.devices if catalog.kind(d) is DeviceKind.SENSOR]
+        pool = catalog.sensors
     report = check_spatial(catalog, devices=pool)
     payload = [
         {

@@ -49,11 +49,7 @@ class Box3D:
         Degenerate boxes (zero extent on some axis) overlap nothing, and
         boundary contact does not count.
         """
-        return (
-            min(self.x2, other.x2) > max(self.x1, other.x1)
-            and min(self.y2, other.y2) > max(self.y1, other.y1)
-            and min(self.z2, other.z2) > max(self.z1, other.z1)
-        )
+        return intersection_volume(self, other) > 0
 
 
 def intersection_volume(a: Box3D, b: Box3D) -> int:

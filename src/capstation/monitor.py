@@ -474,5 +474,5 @@ def check_spatial(
     pairs = []
     for a, b in itertools.combinations(boxes, 2):
         shared = intersection_volume(boxes[a], boxes[b])
-        pairs.append(SpatialPair(a, b, boxes[a].overlaps(boxes[b]), shared))
+        pairs.append(SpatialPair(a, b, shared > 0, shared))
     return SpatialReport(tuple(pairs))

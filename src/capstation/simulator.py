@@ -1,10 +1,13 @@
 """Deterministic discrete-event simulator of the cap dispenser.
 
 The machine is driven by actuator command scripts and produces a
-time-ordered trace of state-change events.  Position sensors flip at
-motion completion: the moving ejector rod keeps blocking its origin
-sensor until it arrives, so origin-clear and destination-set events share
-the completion timestamp (origin first).  Reversing an actuator mid-motion
+time-ordered trace of state-change events.  One table, `_POSITION_SENSOR`,
+names the sensor that reads Obstructed while an axis rests at each
+position; both the sensor readings and motion completion read it.
+Position sensors flip at motion completion: the moving ejector rod keeps
+blocking its origin sensor until it arrives, so origin-clear and
+destination-set events share the completion timestamp (the origin clears
+before the destination sets).  Reversing an actuator mid-motion
 returns it to its origin with a proportional latency and, because the
 settled position never changed, without emitting sensor events.
 
@@ -42,15 +45,20 @@ from .station import (
 class EjectorPosition(enum.Enum):
     RETRACTED = "Retracted"
     EXTENDED = "Extended"
-    MOVING_OUT = "MovingOut"
-    MOVING_IN = "MovingIn"
 
 
 class ArmPosition(enum.Enum):
     AT_PICKUP = "AtPickup"
     AT_DROPOFF = "AtDropoff"
-    MOVING_LEFT = "MovingLeft"
-    MOVING_RIGHT = "MovingRight"
+
+
+# The position sensor that reads Obstructed while its axis rests there.
+_POSITION_SENSOR = {
+    EjectorPosition.RETRACTED: STACK_EJECTOR_RETRACTED,
+    EjectorPosition.EXTENDED: STACK_EJECTOR_EXTENDED,
+    ArmPosition.AT_PICKUP: LOADER_PICKED_UP,
+    ArmPosition.AT_DROPOFF: LOADER_DROPPED_OFF,
+}
 
 
 @dataclass
@@ -187,22 +195,6 @@ class StationState:
     caps_delivered: int = 0
     caps_lost: int = 0
 
-    @property
-    def ejector_pos(self) -> EjectorPosition:
-        if self.ejector.motion is None:
-            return self.ejector.settled
-        if self.ejector.motion.target is EjectorPosition.EXTENDED:
-            return EjectorPosition.MOVING_OUT
-        return EjectorPosition.MOVING_IN
-
-    @property
-    def arm_pos(self) -> ArmPosition:
-        if self.arm.motion is None:
-            return self.arm.settled
-        if self.arm.motion.target is ArmPosition.AT_PICKUP:
-            return ArmPosition.MOVING_LEFT
-        return ArmPosition.MOVING_RIGHT
-
 
 class Simulation:
     """Event-driven engine; use `run_script` for the one-shot interface."""
@@ -223,8 +215,9 @@ class Simulation:
         self.state = StationState(stack_count=stack_count)
         for actuator in catalog.actuators:
             self.state.actuator_signals[actuator] = Signal.LOW
+        readings = self.readings()
         for sensor in catalog.sensors:
-            self._emit(sensor, DeviceKind.SENSOR, 0, self.readings()[sensor].name)
+            self._emit(sensor, 0, readings[sensor].name)
 
     # -- sensor values -----------------------------------------------------
 
@@ -233,28 +226,19 @@ class Simulation:
         s = self.state
         names = {
             STACK_EMPTY: "Obstructed" if s.stack_count > 0 else "Unobstructed",
-            STACK_EJECTOR_EXTENDED: (
-                "Obstructed" if s.ejector.settled is EjectorPosition.EXTENDED else "Unobstructed"
-            ),
-            STACK_EJECTOR_RETRACTED: (
-                "Obstructed" if s.ejector.settled is EjectorPosition.RETRACTED else "Unobstructed"
-            ),
-            LOADER_PICKED_UP: (
-                "Obstructed" if s.arm.settled is ArmPosition.AT_PICKUP else "Unobstructed"
-            ),
-            LOADER_DROPPED_OFF: (
-                "Obstructed" if s.arm.settled is ArmPosition.AT_DROPOFF else "Unobstructed"
-            ),
             WORKPIECE_GRIPPED: "Gripped" if s.gripped else "Released",
         }
+        for position, sensor in _POSITION_SENSOR.items():
+            held = position is s.ejector.settled or position is s.arm.settled
+            names[sensor] = "Obstructed" if held else "Unobstructed"
         return {
             device: self.catalog.signal_mapping(device).state_named(name)
             for device, name in names.items()
         }
 
-    def _emit(self, device: ComponentId, kind: DeviceKind, t: int, state_name: str) -> None:
-        state = self.catalog.signal_mapping(device).state_named(state_name)
-        self.events.append(PhysicalEvent(device, kind, TimePoint(t), state))
+    def _emit(self, sensor: ComponentId, t: int, state_name: str) -> None:
+        state = self.catalog.signal_mapping(sensor).state_named(state_name)
+        self.events.append(PhysicalEvent(sensor, DeviceKind.SENSOR, TimePoint(t), state))
 
     # -- timeline ----------------------------------------------------------
 
@@ -285,9 +269,9 @@ class Simulation:
                 break
             when, _, what = min(pending)
             if what == "ejector":
-                self._complete_ejector(when)
+                self._complete_motion(self.state.ejector, when)
             elif what == "arm":
-                self._complete_arm(when)
+                self._complete_motion(self.state.arm, when)
             elif what == "grip":
                 self._complete_grip(when)
             else:
@@ -302,68 +286,49 @@ class Simulation:
 
     # -- completions ---------------------------------------------------------
 
-    def _complete_ejector(self, t: int) -> None:
+    def _complete_motion(self, axis: _Axis, t: int) -> None:
+        """Settle the axis at its target: the origin sensor clears, then the
+        destination sensor sets.  An extension pushes the bottom cap out; on
+        retraction the remaining caps drop one cap height by gravity."""
         s = self.state
-        target = s.ejector.motion.target
-        s.ejector.motion = None
-        if target is s.ejector.settled:
+        origin, target = axis.settled, axis.motion.target
+        axis.motion = None
+        if target is origin:
             return  # interrupted motion returned home; nothing changed
-        s.ejector.settled = target
-        if target is EjectorPosition.EXTENDED:
-            self._emit(STACK_EJECTOR_RETRACTED, DeviceKind.SENSOR, t, "Unobstructed")
-            self._emit(STACK_EJECTOR_EXTENDED, DeviceKind.SENSOR, t, "Obstructed")
-            if s.stack_count > 0:
-                s.stack_count -= 1
-                s.caps_pushed += 1
-                self._land_on_pickup_spot()
-                if s.stack_count == 0:
-                    self._emit(STACK_EMPTY, DeviceKind.SENSOR, t, "Unobstructed")
-                self._maybe_start_grip(t)
-        else:
-            # retraction: the remaining caps drop one cap height by gravity
-            self._emit(STACK_EJECTOR_EXTENDED, DeviceKind.SENSOR, t, "Unobstructed")
-            self._emit(STACK_EJECTOR_RETRACTED, DeviceKind.SENSOR, t, "Obstructed")
-
-    def _complete_arm(self, t: int) -> None:
-        s = self.state
-        target = s.arm.motion.target
-        s.arm.motion = None
-        if target is s.arm.settled:
-            return
-        s.arm.settled = target
-        if target is ArmPosition.AT_DROPOFF:
-            self._emit(LOADER_PICKED_UP, DeviceKind.SENSOR, t, "Unobstructed")
-            self._emit(LOADER_DROPPED_OFF, DeviceKind.SENSOR, t, "Obstructed")
-        else:
-            self._emit(LOADER_DROPPED_OFF, DeviceKind.SENSOR, t, "Unobstructed")
-            self._emit(LOADER_PICKED_UP, DeviceKind.SENSOR, t, "Obstructed")
+        axis.settled = target
+        self._emit(_POSITION_SENSOR[origin], t, "Unobstructed")
+        self._emit(_POSITION_SENSOR[target], t, "Obstructed")
+        if target is EjectorPosition.EXTENDED and s.stack_count > 0:
+            s.stack_count -= 1
+            s.caps_pushed += 1
+            self._land_on_pickup_spot()
+            if s.stack_count == 0:
+                self._emit(STACK_EMPTY, t, "Unobstructed")
+            self._maybe_start_grip(t)
+        elif target is ArmPosition.AT_PICKUP:
             self._maybe_start_grip(t)
 
-    def _maybe_start_grip(self, t: int) -> None:
+    def _can_grip(self) -> bool:
         s = self.state
-        if (
+        return (
             s.vacuum_on
             and not s.gripped
-            and s.grip_eta is None
             and s.cap_at_pickup_spot
             and s.arm.settled is ArmPosition.AT_PICKUP
             and s.arm.motion is None
-        ):
-            s.grip_eta = t + self._latency(VACUUM_GRIP, ACTIVATE)
+        )
+
+    def _maybe_start_grip(self, t: int) -> None:
+        if self.state.grip_eta is None and self._can_grip():
+            self.state.grip_eta = t + self._latency(VACUUM_GRIP, ACTIVATE)
 
     def _complete_grip(self, t: int) -> None:
         s = self.state
         s.grip_eta = None
-        if (
-            s.vacuum_on
-            and not s.gripped
-            and s.cap_at_pickup_spot
-            and s.arm.settled is ArmPosition.AT_PICKUP
-            and s.arm.motion is None
-        ):
+        if self._can_grip():
             s.gripped = True
             s.cap_at_pickup_spot = False
-            self._emit(WORKPIECE_GRIPPED, DeviceKind.SENSOR, t, "Gripped")
+            self._emit(WORKPIECE_GRIPPED, t, "Gripped")
 
     def _land_on_pickup_spot(self) -> None:
         """A cap arrives at the pickup spot; if one already lies there the
@@ -377,7 +342,7 @@ class Simulation:
     def _release_cap(self, t: int) -> None:
         s = self.state
         s.gripped = False
-        self._emit(WORKPIECE_GRIPPED, DeviceKind.SENSOR, t, "Released")
+        self._emit(WORKPIECE_GRIPPED, t, "Released")
         if s.arm.motion is None and s.arm.settled is ArmPosition.AT_PICKUP:
             self._land_on_pickup_spot()
         elif s.arm.motion is None and s.arm.settled is ArmPosition.AT_DROPOFF:

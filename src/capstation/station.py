@@ -4,6 +4,11 @@ The station has two subsystems: a cap stack tube with an ejector that
 pushes the bottom cap out, and a swing arm with a vacuum gripper that
 carries caps from the pickup spot to the drop-off area.
 
+Each device is stated once, as one row of `_DEVICE_TABLE`: its kind, type,
+pin, signal mapping, part, spatial variations, box and placeholder keys.
+`build_catalog` turns every row into a description with one fixed key
+order, and `PARTS`, `ACTUATORS` and `SENSORS` are read off the table.
+
 Geometry constants are layered: station edges anchor part edges, part
 edges anchor sensor edges, and sizes are shared between the two ejector
 position sensors.  Constants not stated by the source measurements are
@@ -61,17 +66,6 @@ STACK_EJECTOR_RETRACTED = ComponentId("Stack Ejector Retracted")
 LOADER_PICKED_UP = ComponentId("Loader Picked Up")
 LOADER_DROPPED_OFF = ComponentId("Loader Dropped Off")
 WORKPIECE_GRIPPED = ComponentId("Workpiece Gripped")
-
-PARTS = (STACK_EJECTOR, CAP_STACK_TUBE, LOADER, VACUUM_GRIPPER)
-ACTUATORS = (STACK_EJECTOR_EXTEND, LOADER_PICKUP, LOADER_DROPOFF, VACUUM_GRIP, EJECT_AIR_PULSE)
-SENSORS = (
-    STACK_EMPTY,
-    STACK_EJECTOR_EXTENDED,
-    STACK_EJECTOR_RETRACTED,
-    LOADER_PICKED_UP,
-    LOADER_DROPPED_OFF,
-    WORKPIECE_GRIPPED,
-)
 
 # Description keys
 KEY_DEVICE_CATEGORY = ComponentId("Device Category")
@@ -174,6 +168,75 @@ GRIPPER_POSITIONS = SpatialVariationSet(
 
 
 # ---------------------------------------------------------------------------
+# Device table
+# ---------------------------------------------------------------------------
+
+_WIRING = (KEY_GPIO, KEY_SIGNAL_MAPPING)
+
+# One row per device: id, kind, device type, GPIO pin, signal mapping, part
+# association, spatial variations, box anchor (x, y, z, w, d, h), and the
+# description keys whose values are placeholders.  None leaves a key out.
+_DEVICE_TABLE = (
+    (STACK_EJECTOR, DeviceKind.PART, "Horizontal Pusher", None, None, None,
+     STACK_EJECTOR_POSITIONS,
+     (X.STACK_EJECTOR_LEFT, Y.STACK_EJECTOR_FRONT, Z.STACK_EJECTOR_BOTTOM,
+      Width.STACK_EJECTOR, Depth.STACK_EJECTOR, Height.STACK_EJECTOR),
+     (KEY_SPATIAL_LOCATION,)),
+    (CAP_STACK_TUBE, DeviceKind.PART, "Tube", None, None, None, None,
+     (X.CAP_STACK_TUBE_LEFT, Y.CAP_STACK_TUBE_FRONT, Z.CAP_STACK_TUBE_BOTTOM,
+      Width.CAP_STACK_TUBE, Depth.CAP_STACK_TUBE, Height.CAP_STACK_TUBE),
+     (KEY_SPATIAL_LOCATION,)),
+    (LOADER, DeviceKind.PART, "Swing Arm", None, None, None, LOADER_POSITIONS, None,
+     (KEY_SPATIAL_VARIATIONS,)),
+    (VACUUM_GRIPPER, DeviceKind.PART, "Suction Cup", None, None, None, GRIPPER_POSITIONS, None,
+     (KEY_SPATIAL_VARIATIONS,)),
+    (STACK_EJECTOR_EXTEND, DeviceKind.ACTUATOR, "Solenoid", 1, HIGH_SOLENOID_MAPPING,
+     STACK_EJECTOR, None, None, _WIRING),
+    (LOADER_PICKUP, DeviceKind.ACTUATOR, "Solenoid", 26, HIGH_SOLENOID_MAPPING,
+     LOADER, None, None, _WIRING),
+    (LOADER_DROPOFF, DeviceKind.ACTUATOR, "Solenoid", 13, HIGH_SOLENOID_MAPPING,
+     LOADER, None, None, _WIRING),
+    (VACUUM_GRIP, DeviceKind.ACTUATOR, "Solenoid", 5, HIGH_SOLENOID_MAPPING,
+     LOADER, None, None, ()),
+    (EJECT_AIR_PULSE, DeviceKind.ACTUATOR, "Solenoid", 19, HIGH_SOLENOID_MAPPING,
+     VACUUM_GRIPPER, None, None, _WIRING),
+    (STACK_EMPTY, DeviceKind.SENSOR, "Light Sensor", 7, OBSTRUCTED_ON_LOW, CAP_STACK_TUBE, None,
+     (X.STACK_EMPTY_SENSOR_LEFT, Y.STACK_EMPTY_SENSOR_FRONT, Z.STACK_EMPTY_SENSOR_BOTTOM,
+      Width.STACK_EMPTY_SENSOR, Depth.STACK_EMPTY_SENSOR, Height.STACK_EMPTY_SENSOR),
+     _WIRING + (KEY_SPATIAL_LOCATION,)),
+    (STACK_EJECTOR_EXTENDED, DeviceKind.SENSOR, "Light Sensor", 0, OBSTRUCTED_ON_HIGH,
+     STACK_EJECTOR, None,
+     (X.EXTEND_RETRACT_SENSOR_LEFT, Y.EXTEND_SENSOR_FRONT, Z.EXTEND_RETRACT_SENSOR_BOTTOM,
+      Width.EXTEND_RETRACT_SENSOR, Depth.EXTEND_RETRACT_SENSOR, Height.EXTEND_RETRACT_SENSOR),
+     ()),
+    (STACK_EJECTOR_RETRACTED, DeviceKind.SENSOR, "Light Sensor", 3, OBSTRUCTED_ON_HIGH,
+     STACK_EJECTOR, None,
+     (X.EXTEND_RETRACT_SENSOR_LEFT, Y.RETRACT_SENSOR_FRONT, Z.EXTEND_RETRACT_SENSOR_BOTTOM,
+      Width.EXTEND_RETRACT_SENSOR, Depth.EXTEND_RETRACT_SENSOR, Height.EXTEND_RETRACT_SENSOR),
+     ()),
+    (LOADER_PICKED_UP, DeviceKind.SENSOR, "Contact Sensor", 25, OBSTRUCTED_ON_HIGH, LOADER, None,
+     (X.LOADER_PICKED_UP_LEFT, Y.LOADER_PICKED_UP_FRONT, Z.CONTACT_SENSOR_BOTTOM,
+      Width.CONTACT_SENSOR, Depth.CONTACT_SENSOR, Height.CONTACT_SENSOR),
+     _WIRING + (KEY_SPATIAL_LOCATION,)),
+    (LOADER_DROPPED_OFF, DeviceKind.SENSOR, "Contact Sensor", 8, OBSTRUCTED_ON_HIGH, LOADER, None,
+     (X.LOADER_DROPPED_OFF_LEFT, Y.LOADER_DROPPED_OFF_FRONT, Z.CONTACT_SENSOR_BOTTOM,
+      Width.CONTACT_SENSOR, Depth.CONTACT_SENSOR, Height.CONTACT_SENSOR),
+     _WIRING + (KEY_SPATIAL_LOCATION,)),
+    (WORKPIECE_GRIPPED, DeviceKind.SENSOR, "Vacuum Sensor", 11, GRIP_SENSOR_MAPPING,
+     VACUUM_GRIPPER, None, None, _WIRING),
+)
+
+
+def _of_kind(kind: DeviceKind) -> Tuple[ComponentId, ...]:
+    return tuple(row[0] for row in _DEVICE_TABLE if row[1] is kind)
+
+
+PARTS = _of_kind(DeviceKind.PART)
+ACTUATORS = _of_kind(DeviceKind.ACTUATOR)
+SENSORS = _of_kind(DeviceKind.SENSOR)
+
+
+# ---------------------------------------------------------------------------
 # Catalog
 # ---------------------------------------------------------------------------
 
@@ -238,10 +301,6 @@ class StationCatalog:
 
     def is_synthetic_edge(self, topology: TopologyName, edge: EdgeAnn) -> bool:
         return _edge_key(topology, edge) in self.synthetic_edges
-
-
-def _occupy(x: int, y: int, z: int, w: int, d: int, h: int) -> ComponentValue:
-    return ComponentValue(Box3D.from_anchor(x, y, z, w, d, h))
 
 
 def _constraint(
@@ -365,209 +424,23 @@ def documented_edge(catalog: "StationCatalog", topology: TopologyName) -> EdgeAn
 def build_catalog() -> StationCatalog:
     """Construct the full station catalog from the embedded constants."""
     devices: Dict[ComponentId, DeviceKind] = {}
-    for part in PARTS:
-        devices[part] = DeviceKind.PART
-    for actuator in ACTUATORS:
-        devices[actuator] = DeviceKind.ACTUATOR
-    for sensor in SENSORS:
-        devices[sensor] = DeviceKind.SENSOR
-
+    descriptions: Dict[ComponentId, BeMapKV] = {}
     synthetic_entries = set()
-
-    def desc(device, *entries, synthetic=()):
-        for key in synthetic:
-            synthetic_entries.add((device, key))
-        return BeMapKV(tuple((k, v) for k, v in entries))
-
-    cat = lambda kind: (KEY_DEVICE_CATEGORY, ComponentValue(kind.value))
-    typ = lambda name: (KEY_DEVICE_TYPE, ComponentValue(name))
-    gpio = lambda pin: (KEY_GPIO, ComponentValue(pin))
-    assoc = lambda part: (KEY_PART_ASSOCIATION, ComponentValue(part.id))
-    sigmap = lambda m: (KEY_SIGNAL_MAPPING, ComponentValue(m))
-    variations = lambda vs: (KEY_SPATIAL_VARIATIONS, ComponentValue(vs.to_xor()))
-
-    descriptions: Dict[ComponentId, BeMapKV] = {
-        # Parts
-        STACK_EJECTOR: desc(
-            STACK_EJECTOR,
-            cat(DeviceKind.PART),
-            typ("Horizontal Pusher"),
-            variations(STACK_EJECTOR_POSITIONS),
-            (
-                KEY_SPATIAL_LOCATION,
-                _occupy(
-                    X.STACK_EJECTOR_LEFT, Y.STACK_EJECTOR_FRONT, Z.STACK_EJECTOR_BOTTOM,
-                    Width.STACK_EJECTOR, Depth.STACK_EJECTOR, Height.STACK_EJECTOR,
-                ),
-            ),
-            synthetic=(KEY_SPATIAL_LOCATION,),
-        ),
-        CAP_STACK_TUBE: desc(
-            CAP_STACK_TUBE,
-            cat(DeviceKind.PART),
-            typ("Tube"),
-            (
-                KEY_SPATIAL_LOCATION,
-                _occupy(
-                    X.CAP_STACK_TUBE_LEFT, Y.CAP_STACK_TUBE_FRONT, Z.CAP_STACK_TUBE_BOTTOM,
-                    Width.CAP_STACK_TUBE, Depth.CAP_STACK_TUBE, Height.CAP_STACK_TUBE,
-                ),
-            ),
-            synthetic=(KEY_SPATIAL_LOCATION,),
-        ),
-        LOADER: desc(
-            LOADER,
-            cat(DeviceKind.PART),
-            typ("Swing Arm"),
-            variations(LOADER_POSITIONS),
-            synthetic=(KEY_SPATIAL_VARIATIONS,),
-        ),
-        VACUUM_GRIPPER: desc(
-            VACUUM_GRIPPER,
-            cat(DeviceKind.PART),
-            typ("Suction Cup"),
-            variations(GRIPPER_POSITIONS),
-            synthetic=(KEY_SPATIAL_VARIATIONS,),
-        ),
-        # Actuators
-        STACK_EJECTOR_EXTEND: desc(
-            STACK_EJECTOR_EXTEND,
-            cat(DeviceKind.ACTUATOR),
-            typ("Solenoid"),
-            gpio(1),
-            sigmap(HIGH_SOLENOID_MAPPING),
-            assoc(STACK_EJECTOR),
-            synthetic=(KEY_GPIO, KEY_SIGNAL_MAPPING),
-        ),
-        LOADER_PICKUP: desc(
-            LOADER_PICKUP,
-            cat(DeviceKind.ACTUATOR),
-            typ("Solenoid"),
-            gpio(26),
-            sigmap(HIGH_SOLENOID_MAPPING),
-            assoc(LOADER),
-            synthetic=(KEY_GPIO, KEY_SIGNAL_MAPPING),
-        ),
-        LOADER_DROPOFF: desc(
-            LOADER_DROPOFF,
-            cat(DeviceKind.ACTUATOR),
-            typ("Solenoid"),
-            gpio(13),
-            sigmap(HIGH_SOLENOID_MAPPING),
-            assoc(LOADER),
-            synthetic=(KEY_GPIO, KEY_SIGNAL_MAPPING),
-        ),
-        VACUUM_GRIP: desc(
-            VACUUM_GRIP,
-            cat(DeviceKind.ACTUATOR),
-            typ("Solenoid"),
-            gpio(5),
-            sigmap(HIGH_SOLENOID_MAPPING),
-            assoc(LOADER),
-        ),
-        EJECT_AIR_PULSE: desc(
-            EJECT_AIR_PULSE,
-            cat(DeviceKind.ACTUATOR),
-            typ("Solenoid"),
-            gpio(19),
-            sigmap(HIGH_SOLENOID_MAPPING),
-            assoc(VACUUM_GRIPPER),
-            synthetic=(KEY_GPIO, KEY_SIGNAL_MAPPING),
-        ),
-        # Sensors
-        STACK_EMPTY: desc(
-            STACK_EMPTY,
-            cat(DeviceKind.SENSOR),
-            typ("Light Sensor"),
-            gpio(7),
-            sigmap(OBSTRUCTED_ON_LOW),
-            assoc(CAP_STACK_TUBE),
-            (
-                KEY_SPATIAL_LOCATION,
-                _occupy(
-                    X.STACK_EMPTY_SENSOR_LEFT, Y.STACK_EMPTY_SENSOR_FRONT,
-                    Z.STACK_EMPTY_SENSOR_BOTTOM,
-                    Width.STACK_EMPTY_SENSOR, Depth.STACK_EMPTY_SENSOR, Height.STACK_EMPTY_SENSOR,
-                ),
-            ),
-            synthetic=(KEY_GPIO, KEY_SIGNAL_MAPPING, KEY_SPATIAL_LOCATION),
-        ),
-        STACK_EJECTOR_EXTENDED: desc(
-            STACK_EJECTOR_EXTENDED,
-            cat(DeviceKind.SENSOR),
-            typ("Light Sensor"),
-            gpio(0),
-            sigmap(OBSTRUCTED_ON_HIGH),
-            assoc(STACK_EJECTOR),
-            (
-                KEY_SPATIAL_LOCATION,
-                _occupy(
-                    X.EXTEND_RETRACT_SENSOR_LEFT, Y.EXTEND_SENSOR_FRONT,
-                    Z.EXTEND_RETRACT_SENSOR_BOTTOM,
-                    Width.EXTEND_RETRACT_SENSOR, Depth.EXTEND_RETRACT_SENSOR,
-                    Height.EXTEND_RETRACT_SENSOR,
-                ),
-            ),
-        ),
-        STACK_EJECTOR_RETRACTED: desc(
-            STACK_EJECTOR_RETRACTED,
-            cat(DeviceKind.SENSOR),
-            typ("Light Sensor"),
-            gpio(3),
-            sigmap(OBSTRUCTED_ON_HIGH),
-            assoc(STACK_EJECTOR),
-            (
-                KEY_SPATIAL_LOCATION,
-                _occupy(
-                    X.EXTEND_RETRACT_SENSOR_LEFT, Y.RETRACT_SENSOR_FRONT,
-                    Z.EXTEND_RETRACT_SENSOR_BOTTOM,
-                    Width.EXTEND_RETRACT_SENSOR, Depth.EXTEND_RETRACT_SENSOR,
-                    Height.EXTEND_RETRACT_SENSOR,
-                ),
-            ),
-        ),
-        LOADER_PICKED_UP: desc(
-            LOADER_PICKED_UP,
-            cat(DeviceKind.SENSOR),
-            typ("Contact Sensor"),
-            gpio(25),
-            sigmap(OBSTRUCTED_ON_HIGH),
-            assoc(LOADER),
-            (
-                KEY_SPATIAL_LOCATION,
-                _occupy(
-                    X.LOADER_PICKED_UP_LEFT, Y.LOADER_PICKED_UP_FRONT, Z.CONTACT_SENSOR_BOTTOM,
-                    Width.CONTACT_SENSOR, Depth.CONTACT_SENSOR, Height.CONTACT_SENSOR,
-                ),
-            ),
-            synthetic=(KEY_GPIO, KEY_SIGNAL_MAPPING, KEY_SPATIAL_LOCATION),
-        ),
-        LOADER_DROPPED_OFF: desc(
-            LOADER_DROPPED_OFF,
-            cat(DeviceKind.SENSOR),
-            typ("Contact Sensor"),
-            gpio(8),
-            sigmap(OBSTRUCTED_ON_HIGH),
-            assoc(LOADER),
-            (
-                KEY_SPATIAL_LOCATION,
-                _occupy(
-                    X.LOADER_DROPPED_OFF_LEFT, Y.LOADER_DROPPED_OFF_FRONT, Z.CONTACT_SENSOR_BOTTOM,
-                    Width.CONTACT_SENSOR, Depth.CONTACT_SENSOR, Height.CONTACT_SENSOR,
-                ),
-            ),
-            synthetic=(KEY_GPIO, KEY_SIGNAL_MAPPING, KEY_SPATIAL_LOCATION),
-        ),
-        WORKPIECE_GRIPPED: desc(
-            WORKPIECE_GRIPPED,
-            cat(DeviceKind.SENSOR),
-            typ("Vacuum Sensor"),
-            gpio(11),
-            sigmap(GRIP_SENSOR_MAPPING),
-            assoc(VACUUM_GRIPPER),
-            synthetic=(KEY_GPIO, KEY_SIGNAL_MAPPING),
-        ),
-    }
+    for device, kind, type_name, pin, mapping, part, variations, anchor, placeholders in _DEVICE_TABLE:
+        devices[device] = kind
+        entries = (
+            (KEY_DEVICE_CATEGORY, kind.value),
+            (KEY_DEVICE_TYPE, type_name),
+            (KEY_GPIO, pin),
+            (KEY_SIGNAL_MAPPING, mapping),
+            (KEY_PART_ASSOCIATION, None if part is None else part.id),
+            (KEY_SPATIAL_VARIATIONS, None if variations is None else variations.to_xor()),
+            (KEY_SPATIAL_LOCATION, None if anchor is None else Box3D.from_anchor(*anchor)),
+        )
+        descriptions[device] = BeMapKV(
+            tuple((key, ComponentValue(value)) for key, value in entries if value is not None)
+        )
+        synthetic_entries.update((device, key) for key in placeholders)
 
     topologies = {
         TopologyName.PROCESS_SEQUENCE: build_process_sequence(),

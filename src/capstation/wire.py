@@ -39,6 +39,7 @@ from .errors import (
 )
 from .simulator import ACTIVATE, DEACTIVATE, Command, CommandScript, DropEvents, FaultSpec
 from .simulator import LatencyOverride, StuckSensor
+from .station import ACTUATORS
 
 
 def _obj(value, path: str) -> dict:
@@ -291,6 +292,9 @@ def write_script(target: Union[str, TextIO], script: CommandScript) -> None:
     _write_text(target, script_to_lines(script))
 
 
+_ACTUATOR_IDS = frozenset(actuator.id for actuator in ACTUATORS)
+
+
 def read_script(source: Union[str, TextIO]) -> CommandScript:
     commands: List[Command] = []
     for number, value in _json_lines(_read_text(source)):
@@ -304,13 +308,10 @@ def read_script(source: Union[str, TextIO]) -> CommandScript:
             raise SchemaViolationError(
                 path, f"time_ms {time} is earlier than the previous line's {commands[-1].time}"
             )
-        commands.append(
-            Command(
-                time=time,
-                actuator=_component(obj["actuator"], f"{path}.actuator"),
-                signal=Signal(obj["signal"]),
-            )
-        )
+        actuator = _component(obj["actuator"], f"{path}.actuator")
+        if actuator.id not in _ACTUATOR_IDS:
+            raise SchemaViolationError(f"{path}.actuator", f"unknown actuator: {actuator}")
+        commands.append(Command(time=time, actuator=actuator, signal=Signal(obj["signal"])))
     return CommandScript(tuple(commands))
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -124,8 +125,24 @@ def test_dot_without_topology_is_a_usage_error(capsys):
             '{"time_ms": 100, "actuator": "Loader Pickup", "signal": "Low"}\n',
             "line 2: time_ms 100 is earlier than the previous line's 500",
         ),
+        (
+            '{"time_ms": 0, "actuator": "Loader Pickup", "signal": "High"}\n'
+            '{"time_ms": 10, "actuator": "Ghost", "signal": "High"}\n',
+            "line 2.actuator: unknown actuator: Ghost",
+        ),
+        (
+            '{"time_ms": 0, "actuator": "Stack Empty", "signal": "High"}\n',
+            "line 1.actuator: unknown actuator: Stack Empty",
+        ),
     ],
-    ids=["bad-json", "empty-actuator", "non-string-actuator", "time-goes-back"],
+    ids=[
+        "bad-json",
+        "empty-actuator",
+        "non-string-actuator",
+        "time-goes-back",
+        "unknown-actuator",
+        "sensor-as-actuator",
+    ],
 )
 def test_malformed_scenario_is_an_input_error(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.jsonl"
@@ -292,6 +309,31 @@ def test_monitor_tolerance_widens_correlations(scenario_file, tmp_path, capsys):
 )
 def test_model_dump_matches_its_golden_bytes(capsys, golden_dir, argv, golden):
     assert cli_main(["model", "dump", *argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (golden_dir / golden).read_text()
+    assert captured.err == ""
+
+
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["--scenario", str(SCENARIOS / "nominal.jsonl")], "simulate_nominal.jsonl"),
+        (["--scenario", str(SCENARIOS / "two_cycles.jsonl")], "simulate_two_cycles.jsonl"),
+        (
+            [
+                "--scenario", str(SCENARIOS / "nominal.jsonl"),
+                "--faults", str(SCENARIOS / "faults_late_extension.json"),
+            ],
+            "simulate_nominal_late_extension.jsonl",
+        ),
+    ],
+    ids=["nominal", "two-cycles", "late-extension"],
+)
+def test_simulate_matches_its_golden_bytes(capsys, golden_dir, argv, golden):
+    assert cli_main(["simulate", *argv, "--out", "-"]) == 0
     captured = capsys.readouterr()
     assert captured.out == (golden_dir / golden).read_text()
     assert captured.err == ""

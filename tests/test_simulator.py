@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capstation.core.bemap import ComponentId
-from capstation.devices import DeviceKind, OBSTRUCTED, Signal
+from capstation.devices import DeviceKind, DeviceState, OBSTRUCTED, Signal
 from capstation.errors import TimeRegressionError, UnknownActuatorError, UnknownDeviceError
-from capstation.scenarios import nominal_script
+from capstation.scenarios import nominal_script, two_cycles_script
 from capstation.simulator import (
     ACTIVATE,
     ArmPosition,
@@ -67,8 +67,8 @@ def test_initial_events_with_stocked_tube(catalog):
     assert initial[LOADER_DROPPED_OFF] == "Unobstructed"
     assert initial[WORKPIECE_GRIPPED] == "Released"
     state = sim.state
-    assert state.ejector_pos is EjectorPosition.RETRACTED
-    assert state.arm_pos is ArmPosition.AT_PICKUP
+    assert state.ejector.settled is EjectorPosition.RETRACTED and state.ejector.motion is None
+    assert state.arm.settled is ArmPosition.AT_PICKUP and state.arm.motion is None
     assert state.clock == 0 and not state.vacuum_on and not state.gripped
 
 
@@ -101,7 +101,8 @@ def test_extension_command_effects(catalog):
     ]
     assert sim.state.stack_count == 4
     assert sim.state.cap_at_pickup_spot
-    assert sim.state.ejector_pos is EjectorPosition.EXTENDED
+    assert sim.state.ejector.settled is EjectorPosition.EXTENDED
+    assert sim.state.ejector.motion is None
 
 
 def test_dropoff_swing_effects(catalog):
@@ -112,7 +113,7 @@ def test_dropoff_swing_effects(catalog):
         (900, LOADER_PICKED_UP, "Unobstructed"),
         (900, LOADER_DROPPED_OFF, "Obstructed"),
     ]
-    assert sim.state.arm_pos is ArmPosition.AT_DROPOFF
+    assert sim.state.arm.settled is ArmPosition.AT_DROPOFF and sim.state.arm.motion is None
 
 
 def test_grip_needs_a_cap_at_the_pickup_spot(catalog):
@@ -192,7 +193,8 @@ def test_mid_motion_reversal_returns_home_silently(catalog):
     sim.settle()
     sensor_events = [e for e in sim.events if e.timepoint.t > 0 and e.kind is DeviceKind.SENSOR]
     assert sensor_events == []  # settled position never changed
-    assert sim.state.ejector_pos is EjectorPosition.RETRACTED
+    assert sim.state.ejector.settled is EjectorPosition.RETRACTED
+    assert sim.state.ejector.motion is None
     assert sim.state.clock == 200  # 100 + 0.4 * 250
     assert sim.state.stack_count == 5  # interrupted push ejects nothing
 
@@ -204,6 +206,22 @@ def test_determinism_byte_identical_traces(catalog):
         return buf.getvalue()
 
     assert serialized() == serialized()
+
+
+def test_jittered_faulty_run_matches_its_golden_bytes(catalog, golden_dir):
+    events = run_script(
+        catalog,
+        two_cycles_script(),
+        faults=[
+            StuckSensor(LOADER_DROPPED_OFF, DeviceState("Unobstructed", Signal.LOW)),
+            DropEvents(WORKPIECE_GRIPPED),
+        ],
+        seed=3,
+        latencies=default_latency_table(jitter_ms=30),
+    )
+    buf = io.StringIO()
+    write_trace(buf, events)
+    assert buf.getvalue() == (golden_dir / "run_script_two_cycles_jitter_faults.jsonl").read_text()
 
 
 def test_jitter_is_bounded_and_seed_dependent(catalog):
