@@ -21,7 +21,7 @@ from capstation.station import TopologyName, build_catalog  # noqa: E402
 
 
 def report(label, catalog, trace) -> None:
-    verdicts = check_trace(catalog, "all", trace)
+    verdicts = list(check_trace(catalog, "all", trace))
     bad = violations(verdicts)
     print(f"== {label}: {len(trace)} events, {len(verdicts)} verdicts, {len(bad)} violations")
     for v in verdicts:

@@ -7,15 +7,17 @@ errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional, TextIO
 
 from .core.bemap import ComponentId
 from .dot import render_dot
 from .errors import ModelError
-from .monitor import MonitorConfig, Semantics, SequenceUnit, check_spatial, check_trace, violations
-from .simulator import run_script
+from .monitor import MonitorConfig, Semantics, SequenceUnit, check_spatial, check_trace
+from .simulator import stream_script
 from .station import TopologyName, build_catalog
 from .wire import (
     _write_text,
@@ -24,7 +26,7 @@ from .wire import (
     read_faults,
     read_script,
     read_trace,
-    verdict_to_obj,
+    write_report,
     write_trace,
 )
 
@@ -108,40 +110,63 @@ def _cmd_simulate(args) -> int:
     catalog = build_catalog()
     script = read_script(sys.stdin if args.scenario == "-" else args.scenario)
     faults = read_faults(args.faults) if args.faults else []
-    events = run_script(
+    events = stream_script(
         catalog, script, faults=faults, seed=args.seed, stack_count=args.stack_count
     )
     write_trace(sys.stdout if args.out == "-" else args.out, events)
     return 0
 
 
+@contextlib.contextmanager
+def _report_file(report: Optional[str], trace: str) -> Iterator[Optional[TextIO]]:
+    """Where --report goes.  A report file is removed if the run fails.  It
+    may not be the trace file: opened first, it would empty the trace."""
+    if report is None or report == "-":
+        yield None if report is None else sys.stdout
+        return
+    if trace != "-" and os.path.realpath(report) == os.path.realpath(trace):
+        raise ValueError(f"--report {report} is the trace being read")
+    fp = open(report, "w", encoding="utf-8")
+    try:
+        with fp:
+            yield fp
+    except BaseException:
+        os.remove(report)
+        raise
+
+
 def _cmd_monitor(args) -> int:
     catalog = build_catalog()
-    trace = read_trace(sys.stdin if args.trace == "-" else args.trace, kinds=catalog.devices)
     cfg = MonitorConfig(
         correlation_tolerance_ms=args.tolerance_ms,
         sequence_unit=SequenceUnit(args.sequence_unit),
         semantics=Semantics.EVENT_OCCURRENCE if args.semantics == "event" else Semantics.STATE_HOLDS,
     )
     topology = "all" if args.topology == "all" else _TOPOLOGY_FLAGS[args.topology]
-    verdicts = check_trace(catalog, topology, trace, cfg)
-    bad = violations(verdicts)
-    if args.report:
-        report = [verdict_to_obj(v) for v in verdicts]
-        report_out = sys.stdout if args.report == "-" else args.report
-        _write_text(report_out, json.dumps(report, indent=2) + "\n")
-    summary = {
-        "events": len(trace),
-        "verdicts": len(verdicts),
-        "violations": len(bad),
-    }
-    print(json.dumps(summary))
-    for verdict in bad:
-        print(
-            f"violation: {verdict.rule.label()} cause@{verdict.cause_time} "
-            f"-> {verdict.outcome.value}",
-            file=sys.stderr,
-        )
+    events = 0
+
+    def counted(trace):
+        nonlocal events
+        for events, event in enumerate(trace, 1):
+            yield event
+
+    trace = read_trace(sys.stdin if args.trace == "-" else args.trace, kinds=catalog.devices)
+    verdicts = check_trace(catalog, topology, counted(trace), cfg)
+    decided = bad = 0
+    with _report_file(args.report, args.trace) as report:
+        if report is not None:
+            verdicts = write_report(report, verdicts)
+        for verdict in verdicts:
+            decided += 1
+            if verdict.outcome.is_violation:
+                bad += 1
+                print(
+                    f"violation: {verdict.rule.label()} cause@{verdict.cause_time} "
+                    f"-> {verdict.outcome.value}",
+                    file=sys.stderr,
+                    flush=True,
+                )
+    print(json.dumps({"events": events, "verdicts": decided, "violations": bad}))
     return 1 if bad else 0
 
 

@@ -22,7 +22,8 @@ the brute-force oracle used in tests:
   holds lo + 1 until the window start is settled, then hi + 1.  Before it,
   such a step returns None and changes nothing, so skipping it gives the
   verdicts that stepping every open obligation gives.  The verdicts of one
-  ingest call come in no promised order; check_trace sorts them.
+  ingest call come in no promised order; check_trace sorts them, holding
+  back only those of the current timestamp.
 * Finalize: one more step at the end time, with no event; whatever is still
   open is reported as Pending.
 
@@ -47,7 +48,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .core.bemap import ComponentId
 from .core.geometry import Box3D, intersection_volume
@@ -410,27 +411,45 @@ def _rules_for(
     return rules
 
 
+def _verdict_order(v: Verdict) -> tuple:
+    return v.decided_at, v.rule.index, v.cause_time, v.outcome.value
+
+
 def check_trace(
     catalog: StationCatalog,
     topology: Union[AnnotatedGraph, TopologyName, str],
-    trace: Sequence[PhysicalEvent],
+    trace: Iterable[PhysicalEvent],
     cfg: Optional[MonitorConfig] = None,
-) -> List[Verdict]:
-    """Fold the whole trace through a monitor and finalize at its last event.
+) -> Iterator[Verdict]:
+    """Fold the trace through a monitor and finalize at its last event,
+    yielding verdicts as the stream decides them.
 
-    Verdicts are ordered by decision time, then rule, then cause time.
+    Verdicts are ordered by decision time, then rule, then cause time.  Every
+    verdict that ingesting an event at t decides has decided_at t, and
+    finalize decides at the last t; so only the current timestamp's
+    verdicts are held back, and each batch is sorted once its time has
+    passed.  The rules and the monitor are built when this is called.
     """
     cfg = cfg or MonitorConfig()
-    rules = _rules_for(catalog, topology, cfg)
-    mon = StreamMonitor(rules, cfg, known_devices=catalog.devices)
-    verdicts: List[Verdict] = []
+    mon = StreamMonitor(_rules_for(catalog, topology, cfg), cfg, known_devices=catalog.devices)
+    return _fold(mon, trace)
+
+
+def _fold(mon: StreamMonitor, trace: Iterable[PhysicalEvent]) -> Iterator[Verdict]:
+    """The verdicts of one timestamp form a batch, sorted and yielded once a
+    later event or the end of the stream closes it."""
+    batch: List[Verdict] = []
     for event in trace:
-        verdicts.extend(mon.ingest(event))
-    if trace:
-        verdicts.extend(mon.finalize(trace[-1].timepoint.t))
-    return sorted(
-        verdicts, key=lambda v: (v.decided_at, v.rule.index, v.cause_time, v.outcome.value)
-    )
+        decided = mon.ingest(event)
+        if batch and batch[0].decided_at != mon.last_time:
+            batch.sort(key=_verdict_order)
+            yield from batch
+            batch = []
+        batch.extend(decided)
+    if mon.last_time is not None:
+        batch.extend(mon.finalize(mon.last_time))
+    batch.sort(key=_verdict_order)
+    yield from batch
 
 
 def violations(verdicts: Iterable[Verdict]) -> List[Verdict]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .core.bemap import ComponentId
 from .core.timing import TimePoint
@@ -211,7 +211,13 @@ class Simulation:
         self.catalog = catalog
         self.latencies = latencies or default_latency_table()
         self.rng = rng or random.Random(0)
+        # events emitted and not yet taken by `stream`
         self.events: List[PhysicalEvent] = []
+        self._mappings = {
+            device: catalog.signal_mapping(device)
+            for device, kind in catalog.devices.items()
+            if kind is not DeviceKind.PART
+        }
         self.state = StationState(stack_count=stack_count)
         for actuator in catalog.actuators:
             self.state.actuator_signals[actuator] = Signal.LOW
@@ -231,13 +237,10 @@ class Simulation:
         for position, sensor in _POSITION_SENSOR.items():
             held = position is s.ejector.settled or position is s.arm.settled
             names[sensor] = "Obstructed" if held else "Unobstructed"
-        return {
-            device: self.catalog.signal_mapping(device).state_named(name)
-            for device, name in names.items()
-        }
+        return {device: self._mappings[device].state_named(name) for device, name in names.items()}
 
     def _emit(self, sensor: ComponentId, t: int, state_name: str) -> None:
-        state = self.catalog.signal_mapping(sensor).state_named(state_name)
+        state = self._mappings[sensor].state_named(state_name)
         self.events.append(PhysicalEvent(sensor, DeviceKind.SENSOR, TimePoint(t), state))
 
     # -- timeline ----------------------------------------------------------
@@ -384,7 +387,7 @@ class Simulation:
         if s.actuator_signals[actuator] is signal:
             return self.events[before:]  # the signal level did not change
         s.actuator_signals[actuator] = signal
-        meaning = self.catalog.signal_mapping(actuator)(signal)
+        meaning = self._mappings[actuator](signal)
         self.events.append(PhysicalEvent(actuator, DeviceKind.ACTUATOR, TimePoint(t), meaning))
         active = meaning.name == "Active"
 
@@ -414,7 +417,16 @@ class Simulation:
 
         return self.events[before:]
 
-    def run(self, script: CommandScript) -> List[PhysicalEvent]:
+    def _taken(self) -> List[PhysicalEvent]:
+        taken, self.events = self.events, []
+        return taken
+
+    def stream(self, script: CommandScript) -> Iterator[PhysicalEvent]:
+        """Run the script lazily: yield the events emitted so far (the
+        initial readings), then each command's, then those of the final
+        settle.  Yielded events leave `events`, so a run holds only the
+        events of the current command."""
+        yield from self._taken()
         for index, cmd in enumerate(script.commands):
             try:
                 self.command(cmd.actuator, cmd.signal, cmd.time)
@@ -425,8 +437,12 @@ class Simulation:
                         f"{cmd.signal.value} @ {cmd.time}"
                     )
                 raise
+            yield from self._taken()
         self.settle()
-        return self.events
+        yield from self._taken()
+
+    def run(self, script: CommandScript) -> List[PhysicalEvent]:
+        return list(self.stream(script))
 
 
 def run_script(
@@ -437,7 +453,21 @@ def run_script(
     stack_count: int = 5,
     latencies: Optional[LatencyTable] = None,
 ) -> List[PhysicalEvent]:
-    """Run a command script and return the full, time-ordered event trace.
+    """Run a command script and return the full, time-ordered event trace."""
+    return list(stream_script(catalog, script, faults, seed, stack_count, latencies))
+
+
+def stream_script(
+    catalog: StationCatalog,
+    script: CommandScript,
+    faults: Sequence[FaultSpec] = (),
+    seed: int = 0,
+    stack_count: int = 5,
+    latencies: Optional[LatencyTable] = None,
+) -> Iterator[PhysicalEvent]:
+    """Run a command script lazily, yielding its time-ordered event trace
+    as it is simulated.  The faults and the stack count are checked when
+    this is called, before the first event.
 
     Deterministic for a fixed (script, faults, seed).  Latency overrides
     shift completion events; stuck sensors pin their reported state from
@@ -468,12 +498,15 @@ def run_script(
         else:
             raise TypeError(f"unknown fault: {fault!r}")
 
-    sim = Simulation(catalog, stack_count, table, random.Random(seed))
-    events = sim.run(script)
-
+    events = Simulation(catalog, stack_count, table, random.Random(seed)).stream(script)
     if not stuck and not dropped:
         return events
-    out: List[PhysicalEvent] = []
+    return _faulted(events, stuck, dropped)
+
+
+def _faulted(
+    events: Iterator[PhysicalEvent], stuck: Dict[ComponentId, DeviceState], dropped: set
+) -> Iterator[PhysicalEvent]:
     pinned = set()
     for event in events:
         if event.device in dropped:
@@ -482,7 +515,6 @@ def run_script(
             if event.device in pinned:
                 continue
             pinned.add(event.device)
-            out.append(PhysicalEvent(event.device, event.kind, event.timepoint, stuck[event.device]))
+            yield PhysicalEvent(event.device, event.kind, event.timepoint, stuck[event.device])
         else:
-            out.append(event)
-    return out
+            yield event

@@ -9,12 +9,19 @@ and plain integer constants.  The scalar tags contain a space on purpose.
 
 State specifications inside annotations carry no signal field (the
 don't-care level is implied); concrete event states always carry one.
+
+Traces stream: `write_trace` writes each event as it comes, `read_trace`
+yields each event as its line is read, and `write_report` writes the
+monitor's report one verdict at a time.  None of them holds the whole
+trace or report.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-from typing import Iterator, List, Mapping, Sequence, TextIO, Tuple, Union
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
 from .core.bemap import BeMapKV, ComponentId, ComponentValue, ValueKind
 from .core.graph import AnnotatedGraph, EdgeAnn, TemporalConstraint, TemporalCorrelation
@@ -39,7 +46,7 @@ from .errors import (
 )
 from .simulator import ACTIVATE, DEACTIVATE, Command, CommandScript, DropEvents, FaultSpec
 from .simulator import LatencyOverride, StuckSensor
-from .station import ACTUATORS
+from .station import ACTUATORS, DEVICE_STATES
 
 
 def _obj(value, path: str) -> dict:
@@ -79,32 +86,47 @@ def _int(value, path: str) -> int:
     return value
 
 
-def _read_text(source: Union[str, TextIO]) -> str:
-    """Whole text of a path or a readable file-like object."""
+def _lines(source: Union[str, TextIO]) -> Iterator[str]:
+    """The lines of a path or a readable file-like object, read lazily."""
     if hasattr(source, "read"):
-        return source.read()
-    with open(source, "r", encoding="utf-8") as fp:
-        return fp.read()
+        yield from source
+    else:
+        with open(source, "r", encoding="utf-8") as fp:
+            yield from fp
+
+
+@contextlib.contextmanager
+def _opened(target: Union[str, TextIO]) -> Iterator[TextIO]:
+    """A writable file-like object as it is, or a path opened for writing."""
+    if hasattr(target, "write"):
+        yield target
+    else:
+        with open(target, "w", encoding="utf-8") as fp:
+            yield fp
 
 
 def _write_text(target: Union[str, TextIO], text: str) -> None:
     """Write text to a path or a writable file-like object."""
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8") as fp:
-            fp.write(text)
+    with _opened(target) as fp:
+        fp.write(text)
 
 
-def _json_lines(text: str) -> Iterator[Tuple[int, object]]:
-    """(line number, decoded value) of every non-blank JSON line."""
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            yield number, json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedJsonError(f"line {number}: {exc}", line=number) from exc
+def _json_lines(chunks: Iterable[str]) -> Iterator[Tuple[int, object]]:
+    """(line number, decoded value) of every non-blank JSON line.
+
+    Lines are numbered as str.splitlines numbers the whole text: each line
+    a file yields is split again, so a break other than a newline counts.
+    """
+    number = 0
+    for chunk in chunks:
+        for line in chunk.splitlines():
+            number += 1
+            if not line.strip():
+                continue
+            try:
+                yield number, json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedJsonError(f"line {number}: {exc}", line=number) from exc
 
 
 # -- states --------------------------------------------------------------------
@@ -233,46 +255,85 @@ def event_from_obj(
     device = _component(obj["component"], f"{path}.component")
     if device not in kinds:
         raise UnknownDeviceError(device, f"{path}.component")
-    return PhysicalEvent(
-        device=device,
-        kind=kinds[device],
-        timepoint=TimePoint(_int(obj["timepoint"], f"{path}.timepoint")),
-        state=state_from_obj(obj["state"], f"{path}.state"),
-    )
+    timepoint = TimePoint(_int(obj["timepoint"], f"{path}.timepoint"))
+    state = state_from_obj(obj["state"], f"{path}.state")
+    allowed = DEVICE_STATES.get(device)
+    if allowed is not None and state not in allowed:
+        known = " and ".join(f"{s.name}/{s.signal.value}" for s in allowed)
+        raise SchemaViolationError(
+            f"{path}.state",
+            f"{device} cannot be {state.name}/{state.signal.value}; "
+            + (f"its states are {known}" if known else "it is a part and has no states"),
+        )
+    return PhysicalEvent(device=device, kind=kinds[device], timepoint=timepoint, state=state)
 
 
-def write_trace(target: Union[str, TextIO], events: Sequence[PhysicalEvent]) -> None:
-    """Write events as JSON lines; events must be time-ordered."""
-    last = None
-    lines = []
-    for event in events:
-        t = event.timepoint.t
-        if last is not None and t < last:
-            raise OutOfOrderEventError(f"event at {t} after event at {last}")
-        last = t
-        lines.append(json.dumps(event_to_obj(event)))
-    _write_text(target, "".join(line + "\n" for line in lines))
+def write_trace(target: Union[str, TextIO], events: Iterable[PhysicalEvent]) -> None:
+    """Write events as JSON lines, each as it comes; events must be time-ordered."""
+    with _opened(target) as out:
+        last = None
+        for event in events:
+            t = event.timepoint.t
+            if last is not None and t < last:
+                raise OutOfOrderEventError(f"event at {t} after event at {last}")
+            last = t
+            out.write(json.dumps(event_to_obj(event)) + "\n")
+
+
+_EVENT_KEYS = frozenset(("type", "component", "timepoint", "state"))
+_STATE_KEYS = frozenset(("type", "signal"))
+
+
+def _seen_event(value, devices: dict, states: dict) -> Optional[PhysicalEvent]:
+    """The event of a line whose device and state an earlier line had
+    checked, built from their interned objects; None if the line needs the
+    full check."""
+    try:
+        component, state = value["component"], value["state"]
+        device, kind = devices[component]
+        checked = states[component, state["type"], state["signal"]]
+        t = value["timepoint"]
+        if (
+            type(t) is int
+            and value["type"] == "PhysicalEvent"
+            and value.keys() == _EVENT_KEYS
+            and state.keys() == _STATE_KEYS
+        ):
+            return PhysicalEvent(device, kind, TimePoint(t), checked)
+    except (KeyError, TypeError):  # not an object, a key missing, or unhashable
+        pass
+    return None
 
 
 def read_trace(
     source: Union[str, TextIO], kinds: Mapping[ComponentId, DeviceKind]
-) -> List[PhysicalEvent]:
-    """Read a JSON-lines trace, validating shape and monotone timestamps.
+) -> Iterator[PhysicalEvent]:
+    """Yield the events of a JSON-lines trace as its lines are read,
+    validating shape, states and monotone timestamps.  An error names its
+    line and stops the stream; the events before it have been yielded.
 
     Device kinds are resolved against `kinds`, usually `catalog.devices`.
+    A line gets the full check of `event_from_obj`, the device's signal
+    mapping included, the first time its (device, state type, signal) is
+    seen.  Later lines reuse that ComponentId and DeviceState (one per
+    device and one per state) and check only their shape and time.
     """
-    text = _read_text(source)
-    events: List[PhysicalEvent] = []
+    devices: Dict[str, Tuple[ComponentId, DeviceKind]] = {}
+    states: Dict[Tuple[str, str, str], DeviceState] = {}
+    shared: Dict[DeviceState, DeviceState] = {}
     last = None
-    for number, value in _json_lines(text):
-        event = event_from_obj(value, kinds, path=f"line {number}")
-        if last is not None and event.timepoint.t < last:
-            raise OutOfOrderEventError(
-                f"line {number}: event at {event.timepoint.t} after {last}", line=number
-            )
-        last = event.timepoint.t
-        events.append(event)
-    return events
+    for number, value in _json_lines(_lines(source)):
+        event = _seen_event(value, devices, states)
+        if event is None:
+            event = event_from_obj(value, kinds, path=f"line {number}")
+            state = shared.setdefault(event.state, event.state)
+            devices[event.device.id] = event.device, event.kind
+            states[event.device.id, state.name, state.signal.value] = state
+        t = event.timepoint.t
+        if last is not None and t < last:
+            raise OutOfOrderEventError(f"line {number}: event at {t} after {last}", line=number)
+        last = t
+        yield event
 
 
 # -- scenario scripts and fault files ---------------------------------------------
@@ -297,7 +358,7 @@ _ACTUATOR_IDS = frozenset(actuator.id for actuator in ACTUATORS)
 
 def read_script(source: Union[str, TextIO]) -> CommandScript:
     commands: List[Command] = []
-    for number, value in _json_lines(_read_text(source)):
+    for number, value in _json_lines(_lines(source)):
         path = f"line {number}"
         obj = _obj(value, path)
         _check_keys(obj, path, ["time_ms", "actuator", "signal"])
@@ -359,7 +420,7 @@ def faults_from_obj(value) -> List[FaultSpec]:
 
 def read_faults(source: Union[str, TextIO]) -> List[FaultSpec]:
     try:
-        value = json.loads(_read_text(source))
+        value = json.loads("".join(_lines(source)))
     except json.JSONDecodeError as exc:
         raise MalformedJsonError(str(exc)) from exc
     return faults_from_obj(value)
@@ -438,3 +499,41 @@ def verdict_to_obj(verdict) -> dict:
         "witness": None if verdict.witness is None else event_to_obj(verdict.witness),
         "decided_at": verdict.decided_at,
     }
+
+
+def _indented(value, indent: str) -> str:
+    """json.dumps(value, indent=2) of a value nested `indent` deep.
+
+    It covers the types verdict objects hold (dicts with string keys,
+    lists, strings, ints, bools, None) and leaves the rest to json.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = ",\n".join(f"{inner}{_quote(k)}: {_indented(v, inner)}" for k, v in value.items())
+        return f"{{\n{items}\n{indent}}}"
+    if isinstance(value, list) and value:
+        items = ",\n".join(inner + _indented(v, inner) for v in value)
+        return f"[\n{items}\n{indent}]"
+    return json.dumps(value)
+
+
+def write_report(out: TextIO, verdicts: Iterable) -> Iterator:
+    """Write the verdicts as the report, one at a time, yielding each once
+    it is written.  Drained, it has written json.dumps(list, indent=2) of
+    their verdict_to_obj objects and a newline."""
+    sep = "[\n  "
+    for verdict in verdicts:
+        out.write(sep + _indented(verdict_to_obj(verdict), "  "))
+        sep = ",\n  "
+        yield verdict
+    out.write("[]\n" if sep == "[\n  " else "\n]\n")

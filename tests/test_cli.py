@@ -174,7 +174,7 @@ def test_shuffled_trace_is_an_input_error(scenario_file, tmp_path, capsys):
 
 _GOOD_TRACE_LINE = (
     '{"type": "PhysicalEvent", "component": "Stack Empty", "timepoint": 0, '
-    '"state": {"type": "Passive", "signal": "Low"}}\n'
+    '"state": {"type": "Obstructed", "signal": "Low"}}\n'
 )
 
 
@@ -196,8 +196,21 @@ _GOOD_TRACE_LINE = (
             '"state": {"type": "Bogus", "signal": "Low"}}\n',
             "line 2.state: unknown type tag: 'Bogus'",
         ),
+        (
+            '{"type": "PhysicalEvent", "component": "Stack Empty", "timepoint": 5, '
+            '"state": {"type": "Gripped", "signal": "High"}}\n',
+            "line 2.state: Stack Empty cannot be Gripped/High",
+        ),
+        (
+            '{"type": "PhysicalEvent", "component": "Loader", "timepoint": 5, '
+            '"state": {"type": "Active", "signal": "High"}}\n',
+            "line 2.state: Loader cannot be Active/High; it is a part and has no states",
+        ),
     ],
-    ids=["unknown-event-type", "unknown-device", "unknown-state-type"],
+    ids=[
+        "unknown-event-type", "unknown-device", "unknown-state-type", "unmapped-state",
+        "part-state",
+    ],
 )
 def test_malformed_trace_is_a_located_input_error(tmp_path, capsys, line, message):
     trace = tmp_path / "trace.jsonl"
@@ -400,3 +413,112 @@ def test_out_of_range_fault_is_an_input_error(scenario_file, tmp_path, capsys, f
     assert captured.out == ""
     assert message in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("semantics", ["event", "state"])
+@pytest.mark.parametrize("faulty", [False, True], ids=["no-fault", "late-extension"])
+@pytest.mark.parametrize("scenario", ["nominal", "two_cycles"])
+def test_monitor_pipe_matches_its_golden_bytes(
+    tmp_path, capsys, golden_dir, scenario, faulty, semantics
+):
+    pipe = f"{scenario}{'_late_extension' if faulty else ''}_{semantics}"
+    faults = ["--faults", str(SCENARIOS / "faults_late_extension.json")] if faulty else []
+    trace = tmp_path / "trace.jsonl"
+    simulate = ["simulate", "--scenario", str(SCENARIOS / f"{scenario}.jsonl"), *faults]
+    assert cli_main([*simulate, "--out", str(trace)]) == 0
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    code = cli_main(
+        ["monitor", "--trace", str(trace), "--topology", "all", "--semantics", semantics,
+         "--report", str(report)]
+    )
+    captured = capsys.readouterr()
+    golden = golden_dir / "monitor"
+    assert f"{code}\n" == (golden / f"{pipe}.exit").read_text()
+    assert captured.out == (golden / f"{pipe}.stdout").read_text()
+    assert captured.err == (golden / f"{pipe}.stderr").read_text()
+    assert report.read_bytes() == (golden / f"{pipe}.report.json").read_bytes()
+
+
+def _late_extension_lines(catalog, faulty_trace):
+    """The late-extension trace's lines, and how many of them run up to the
+    first event after the first violation is decided."""
+    import io
+
+    from capstation.monitor import check_trace
+    from capstation.wire import write_trace
+
+    buf = io.StringIO()
+    write_trace(buf, faulty_trace)
+    first = next(v for v in check_trace(catalog, "all", faulty_trace) if v.outcome.is_violation)
+    cut = next(i for i, e in enumerate(faulty_trace) if e.timepoint.t > first.decided_at)
+    return buf.getvalue().splitlines(keepends=True), cut + 1
+
+
+def test_violation_prints_while_the_trace_is_still_open(catalog, faulty_trace, golden_dir):
+    import os
+    import queue
+    import subprocess
+    import sys
+    import threading
+
+    lines, head = _late_extension_lines(catalog, faulty_trace)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "capstation", "monitor", "--trace", "-", "--topology", "all"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    err_lines: "queue.Queue[bytes]" = queue.Queue()
+
+    def read_stderr():
+        for line in proc.stderr:
+            err_lines.put(line)
+
+    reader = threading.Thread(target=read_stderr, daemon=True)
+    reader.start()
+    try:
+        proc.stdin.write("".join(lines[:head]).encode())
+        proc.stdin.flush()
+        first = err_lines.get(timeout=60)
+        assert first.startswith(b"violation: ")
+        assert proc.poll() is None  # still waiting for the rest of the trace
+        proc.stdin.write("".join(lines[head:]).encode())
+        proc.stdin.close()
+        out = proc.stdout.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    reader.join(timeout=60)
+    err = first + b"".join(err_lines.get_nowait() for _ in range(err_lines.qsize()))
+    assert err == (golden_dir / "monitor" / "nominal_late_extension_event.stderr").read_bytes()
+    assert json.loads(out) == {"events": 29, "verdicts": 12, "violations": 2}
+
+
+def test_error_mid_stream_keeps_the_alarms_and_removes_the_report(
+    catalog, faulty_trace, tmp_path, capsys
+):
+    lines, head = _late_extension_lines(catalog, faulty_trace)
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(lines[:head]) + "{not json\n")
+    report = tmp_path / "report.json"
+    code = cli_main(["monitor", "--trace", str(trace), "--topology", "all", "--report", str(report)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    alarms, error = captured.err.splitlines()[:-1], captured.err.splitlines()[-1]
+    assert alarms and all(line.startswith("violation: ") for line in alarms)
+    assert error.startswith(f"error: line {head + 1}: ")
+    assert not report.exists()
+
+
+def test_report_onto_the_trace_is_an_input_error(scenario_file, tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    cli_main(["simulate", "--scenario", str(scenario_file), "--out", str(trace)])
+    before = trace.read_bytes()
+    code = cli_main(["monitor", "--trace", str(trace), "--topology", "all", "--report", str(trace)])
+    assert code == 2
+    assert "is the trace being read" in capsys.readouterr().err
+    assert trace.read_bytes() == before

@@ -182,24 +182,24 @@ def test_nominal_trace_has_zero_violations(catalog, nominal_trace):
 
 def test_exact_sequence_delay_of_three_seconds_satisfies(catalog, nominal_trace):
     cfg = MonitorConfig(correlation_tolerance_ms=0, sequence_unit=SequenceUnit.SECONDS)
-    verdicts = check_trace(catalog, TopologyName.PROCESS_SEQUENCE, nominal_trace, cfg)
+    verdicts = list(check_trace(catalog, TopologyName.PROCESS_SEQUENCE, nominal_trace, cfg))
     assert verdicts and all(v.outcome is Outcome.SATISFIED for v in verdicts)
     assert all(v.window[1] - v.cause_time == 3000 for v in verdicts)
 
 
 def test_sequence_unit_milliseconds_reads_the_constant_raw(catalog, nominal_trace):
     cfg = MonitorConfig(sequence_unit=SequenceUnit.MILLISECONDS)
-    verdicts = check_trace(catalog, TopologyName.PROCESS_SEQUENCE, nominal_trace, cfg)
+    verdicts = list(check_trace(catalog, TopologyName.PROCESS_SEQUENCE, nominal_trace, cfg))
     # a 3 ms window cannot be met by the 3 s swing
     assert all(v.outcome is Outcome.VIOLATED_MISSING for v in verdicts)
 
 
 def test_empty_trace_yields_no_verdicts(catalog):
-    assert check_trace(catalog, "all", []) == []
+    assert list(check_trace(catalog, "all", [])) == []
 
 
 def test_fault_injected_trace_blames_only_the_late_extension(catalog, faulty_trace):
-    verdicts = check_trace(catalog, "all", faulty_trace)
+    verdicts = list(check_trace(catalog, "all", faulty_trace))
     bad = violations(verdicts)
     assert {v.outcome for v in bad} == {Outcome.VIOLATED_LATE, Outcome.VIOLATED_MISSING}
     assert all(v.rule.source == EXT and v.rule.cause.name == "Active" for v in bad)
@@ -208,7 +208,7 @@ def test_fault_injected_trace_blames_only_the_late_extension(catalog, faulty_tra
 
 
 def test_verdicts_are_ordered_by_decision_time(catalog, nominal_trace):
-    verdicts = check_trace(catalog, "all", nominal_trace)
+    verdicts = list(check_trace(catalog, "all", nominal_trace))
     times = [v.decided_at for v in verdicts]
     assert times == sorted(times)
 
@@ -268,7 +268,7 @@ def test_state_holds_pending_when_window_not_reached():
 def test_state_holds_avoidance_reading_of_nominal_trace(catalog, nominal_trace):
     # under the state reading the pickup solenoid must stay Passive for the
     # whole window, which the nominal swing violates at its start
-    verdicts = check_trace(catalog, TopologyName.AVOIDANCE, nominal_trace, STATE_CFG)
+    verdicts = list(check_trace(catalog, TopologyName.AVOIDANCE, nominal_trace, STATE_CFG))
     assert len(verdicts) == 1
     assert verdicts[0].outcome is Outcome.VIOLATED_MISSING
 
@@ -395,7 +395,7 @@ def test_check_trace_accepts_a_raw_graph(catalog, nominal_trace):
 
     graph = catalog.topologies[TopologyName.CAUSALITY]
     assert isinstance(graph, AnnotatedGraph)
-    verdicts = check_trace(catalog, graph, nominal_trace)
+    verdicts = list(check_trace(catalog, graph, nominal_trace))
     assert verdicts and all(v.outcome is Outcome.SATISFIED for v in verdicts)
     assert all(v.rule.topology == "topology" for v in verdicts)
 
@@ -438,7 +438,7 @@ def test_two_cycle_scenario_repeats_every_obligation(catalog):
 
     sim = Simulation(catalog, stack_count=5)
     trace = sim.run(two_cycles_script())
-    verdicts = check_trace(catalog, "all", trace)
+    verdicts = list(check_trace(catalog, "all", trace))
     assert violations(verdicts) == []
     by_topology = Counter(v.rule.topology for v in verdicts)
     # the initial pickup contact plus one per cycle drive three sequence
@@ -455,12 +455,12 @@ def test_parallel_monitors_over_one_immutable_trace(catalog, nominal_trace):
     results = {}
 
     def work(name):
-        results[name] = check_trace(catalog, "all", nominal_trace)
+        results[name] = list(check_trace(catalog, "all", nominal_trace))
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    baseline = check_trace(catalog, "all", nominal_trace)
+    baseline = list(check_trace(catalog, "all", nominal_trace))
     assert all(results[i] == baseline for i in range(4))

@@ -29,8 +29,10 @@ from capstation.monitor import (
     SequenceUnit,
     StreamMonitor,
     auto_horizon,
+    check_trace,
     compile_topology,
 )
+from capstation.station import StationCatalog
 from oracle import monitor_entries, oracle_entries
 
 DEVICES = [ComponentId(f"D{i}") for i in range(3)]
@@ -213,8 +215,36 @@ def test_state_holds_matches_its_oracle(rules, trace):
     )
 
 
-@pytest.mark.parametrize("semantics", list(Semantics), ids=lambda s: s.value)
-def test_seeded_medium_traces_match_oracle(semantics):
+def check_one_shot(rules, trace, cfg):
+    """check_trace over a one-shot iterator of the trace, the rules given as
+    a graph on a catalog of DEVICES; verdicts come in check_trace's order."""
+    catalog = StationCatalog(
+        devices={d: DeviceKind.SENSOR for d in DEVICES}, descriptions={}, topologies={},
+        synthetic_edges=frozenset(), synthetic_entries=frozenset(),
+    )
+    graph = AnnotatedGraph(tuple(
+        EdgeAnn(r.source, r.target, TemporalConstraint(
+            r.cause,
+            TimeDurationRange(
+                relative_duration(r.cause, r.min_ms), relative_duration(r.cause, r.max_ms)
+            ),
+            r.effect,
+            r.inverse,
+        ))
+        for r in rules
+    ))
+    verdicts = list(check_trace(catalog, graph, iter(trace), cfg))
+    order = [(v.decided_at, v.rule.index, v.cause_time, v.outcome.value) for v in verdicts]
+    assert order == sorted(order)
+    return verdicts
+
+
+@pytest.mark.parametrize(
+    "semantics, feed",
+    [pytest.param(s, run_monitor, id=s.value) for s in Semantics]
+    + [pytest.param(s, check_one_shot, id=f"{s.value}-one-shot") for s in Semantics],
+)
+def test_seeded_medium_traces_match_oracle(semantics, feed):
     cfg = MonitorConfig(semantics=semantics)
     state_mode = semantics is Semantics.STATE_HOLDS
     rng = random.Random(20240811)
@@ -243,7 +273,7 @@ def test_seeded_medium_traces_match_oracle(semantics):
                     DeviceState(rng.choice(NAMES), rng.choice(SIGNALS)),
                 )
             )
-        verdicts = run_monitor(rules, trace, cfg)
+        verdicts = feed(rules, trace, cfg)
         assert monitor_entries(verdicts, trace) == oracle_entries(
             rules, trace, trace[-1].timepoint.t, auto_horizon(rules), state_mode=state_mode
         )

@@ -69,7 +69,7 @@ def test_unknown_type_tag_rejected(catalog):
     line = {"type": "Mystery", "component": "Stack Empty", "timepoint": 0,
             "state": {"type": "Obstructed", "signal": "Low"}}
     with pytest.raises(UnknownTypeTagError):
-        read_trace(io.StringIO(json.dumps(line) + "\n"), kinds=catalog.devices)
+        list(read_trace(io.StringIO(json.dumps(line) + "\n"), kinds=catalog.devices))
 
 
 def test_truncated_json_rejected():
@@ -85,7 +85,7 @@ def test_missing_keys_report_their_path(catalog):
     ]
     text = "".join(json.dumps(line) + "\n" for line in lines)
     with pytest.raises(SchemaViolationError) as err:
-        read_trace(io.StringIO(text), kinds=catalog.devices)
+        list(read_trace(io.StringIO(text), kinds=catalog.devices))
     assert str(err.value) == "line 2: missing key 'state'"
 
 
@@ -99,14 +99,14 @@ def test_unannotated_edges_do_not_serialize():
 def test_trace_round_trip(catalog, nominal_trace, tmp_path):
     path = tmp_path / "trace.jsonl"
     write_trace(str(path), nominal_trace)
-    back = read_trace(str(path), kinds=catalog.devices)
+    back = list(read_trace(str(path), kinds=catalog.devices))
     assert back == nominal_trace
 
 
 def test_empty_trace_file_reads_back_empty(catalog, tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    assert read_trace(str(path), kinds=catalog.devices) == []
+    assert list(read_trace(str(path), kinds=catalog.devices)) == []
 
 
 def test_shuffled_trace_rejected(catalog, nominal_trace, tmp_path):
@@ -117,7 +117,7 @@ def test_shuffled_trace_rejected(catalog, nominal_trace, tmp_path):
     path = tmp_path / "shuffled.jsonl"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(OutOfOrderEventError) as err:
-        read_trace(str(path), kinds=catalog.devices)
+        list(read_trace(str(path), kinds=catalog.devices))
     assert err.value.line is not None
 
 
@@ -125,7 +125,7 @@ def test_malformed_trace_line_reports_its_number(catalog, tmp_path):
     path = tmp_path / "broken.jsonl"
     path.write_text('{"type": "PhysicalEvent"\n')
     with pytest.raises(MalformedJsonError) as err:
-        read_trace(str(path), kinds=catalog.devices)
+        list(read_trace(str(path), kinds=catalog.devices))
     assert err.value.line == 1
 
 
@@ -206,3 +206,60 @@ def test_trace_line_shape(nominal_trace):
         "timepoint": 2200,
         "state": {"type": "Active", "signal": "High"},
     }
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_trace_errors_count_blank_lines(catalog, tmp_path, newline):
+    good = json.dumps(
+        {"type": "PhysicalEvent", "component": "Stack Empty", "timepoint": 0,
+         "state": {"type": "Obstructed", "signal": "Low"}}
+    )
+    data = newline.join([good, "", "   ", good, "{broken"]) + newline
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(data.encode())
+    for source in (io.StringIO(data), str(path)):
+        with pytest.raises(MalformedJsonError) as err:
+            list(read_trace(source, kinds=catalog.devices))
+        assert err.value.line == 5
+        assert str(err.value).startswith("line 5: ")
+
+
+def test_report_bytes_equal_one_indented_dump(catalog, faulty_trace):
+    from capstation.monitor import check_trace
+    from capstation.wire import verdict_to_obj, write_report
+
+    for trace in ([], faulty_trace):
+        verdicts = list(check_trace(catalog, "all", trace))
+        buf = io.StringIO()
+        assert list(write_report(buf, verdicts)) == verdicts
+        assert buf.getvalue() == json.dumps([verdict_to_obj(v) for v in verdicts], indent=2) + "\n"
+
+
+_SHAPE_FAULTS = {
+    "extra-key": lambda obj: {**obj, "extra": 1},
+    "missing-key": lambda obj: {k: v for k, v in obj.items() if k != "timepoint"},
+    "bool-time": lambda obj: {**obj, "timepoint": True},
+    "float-time": lambda obj: {**obj, "timepoint": 5.0},
+    "other-tag": lambda obj: {**obj, "type": "Mystery"},
+    "state-extra-key": lambda obj: {**obj, "state": {**obj["state"], "extra": 1}},
+    "state-no-signal": lambda obj: {**obj, "state": {"type": obj["state"]["type"]}},
+    "state-list": lambda obj: {**obj, "state": list(obj["state"].values())},
+    "component-list": lambda obj: {**obj, "component": [obj["component"]]},
+    "not-an-object": lambda obj: [obj],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_SHAPE_FAULTS))
+def test_a_seen_device_and_state_still_get_every_check(catalog, fault):
+    good = {"type": "PhysicalEvent", "component": "Stack Empty", "timepoint": 0,
+            "state": {"type": "Obstructed", "signal": "Low"}}
+    bad = json.dumps(_SHAPE_FAULTS[fault](good)) + "\n"
+
+    def error(text):
+        with pytest.raises(Exception) as err:
+            list(read_trace(io.StringIO(text), kinds=catalog.devices))
+        return err.value
+
+    alone, after = error(bad), error(json.dumps(good) + "\n" + bad)
+    assert type(after) is type(alone)
+    assert str(after) == str(alone).replace("line 1", "line 2", 1)
