@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 from typing import Iterator, List, Optional, TextIO
 
@@ -119,19 +120,24 @@ def _cmd_simulate(args) -> int:
 
 @contextlib.contextmanager
 def _report_file(report: Optional[str], trace: str) -> Iterator[Optional[TextIO]]:
-    """Where --report goes.  A report file is removed if the run fails.  It
-    may not be the trace file: opened first, it would empty the trace."""
+    """Where --report goes.  If the run fails, a regular file that this run
+    created is removed; a file or device that was there before is left as
+    far as it was written.  It may not be the trace file: opened first, it
+    would empty the trace."""
     if report is None or report == "-":
         yield None if report is None else sys.stdout
         return
     if trace != "-" and os.path.realpath(report) == os.path.realpath(trace):
         raise ValueError(f"--report {report} is the trace being read")
+    created = not os.path.lexists(report)
     fp = open(report, "w", encoding="utf-8")
+    created = created and stat.S_ISREG(os.fstat(fp.fileno()).st_mode)
     try:
         with fp:
             yield fp
     except BaseException:
-        os.remove(report)
+        if created:
+            os.remove(report)
         raise
 
 
@@ -150,10 +156,15 @@ def _cmd_monitor(args) -> int:
         for events, event in enumerate(trace, 1):
             yield event
 
-    trace = read_trace(sys.stdin if args.trace == "-" else args.trace, kinds=catalog.devices)
-    verdicts = check_trace(catalog, topology, counted(trace), cfg)
     decided = bad = 0
-    with _report_file(args.report, args.trace) as report:
+    # the trace opens first, so a missing one leaves --report untouched
+    if args.trace == "-":
+        source = contextlib.nullcontext(sys.stdin)
+    else:
+        source = open(args.trace, encoding="utf-8")
+    with source as lines, _report_file(args.report, args.trace) as report:
+        trace = read_trace(lines, kinds=catalog.devices)
+        verdicts = check_trace(catalog, topology, counted(trace), cfg)
         if report is not None:
             verdicts = write_report(report, verdicts)
         for verdict in verdicts:

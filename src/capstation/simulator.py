@@ -32,6 +32,7 @@ from .station import (
     LOADER_DROPPED_OFF,
     LOADER_PICKED_UP,
     LOADER_PICKUP,
+    SIGNAL_MAPPINGS,
     STACK_EJECTOR_EXTEND,
     STACK_EJECTOR_EXTENDED,
     STACK_EJECTOR_RETRACTED,
@@ -213,11 +214,6 @@ class Simulation:
         self.rng = rng or random.Random(0)
         # events emitted and not yet taken by `stream`
         self.events: List[PhysicalEvent] = []
-        self._mappings = {
-            device: catalog.signal_mapping(device)
-            for device, kind in catalog.devices.items()
-            if kind is not DeviceKind.PART
-        }
         self.state = StationState(stack_count=stack_count)
         for actuator in catalog.actuators:
             self.state.actuator_signals[actuator] = Signal.LOW
@@ -237,10 +233,10 @@ class Simulation:
         for position, sensor in _POSITION_SENSOR.items():
             held = position is s.ejector.settled or position is s.arm.settled
             names[sensor] = "Obstructed" if held else "Unobstructed"
-        return {device: self._mappings[device].state_named(name) for device, name in names.items()}
+        return {device: SIGNAL_MAPPINGS[device].state_named(name) for device, name in names.items()}
 
     def _emit(self, sensor: ComponentId, t: int, state_name: str) -> None:
-        state = self._mappings[sensor].state_named(state_name)
+        state = SIGNAL_MAPPINGS[sensor].state_named(state_name)
         self.events.append(PhysicalEvent(sensor, DeviceKind.SENSOR, TimePoint(t), state))
 
     # -- timeline ----------------------------------------------------------
@@ -387,7 +383,7 @@ class Simulation:
         if s.actuator_signals[actuator] is signal:
             return self.events[before:]  # the signal level did not change
         s.actuator_signals[actuator] = signal
-        meaning = self._mappings[actuator](signal)
+        meaning = SIGNAL_MAPPINGS[actuator](signal)
         self.events.append(PhysicalEvent(actuator, DeviceKind.ACTUATOR, TimePoint(t), meaning))
         active = meaning.name == "Active"
 

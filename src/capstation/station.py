@@ -234,10 +234,10 @@ def _of_kind(kind: DeviceKind) -> Tuple[ComponentId, ...]:
 PARTS = _of_kind(DeviceKind.PART)
 ACTUATORS = _of_kind(DeviceKind.ACTUATOR)
 SENSORS = _of_kind(DeviceKind.SENSOR)
-# the concrete states each device can be in: the two of its signal mapping;
-# parts have no signal, so none
-DEVICE_STATES = {
-    row[0]: () if row[4] is None else (row[4].high, row[4].low) for row in _DEVICE_TABLE
+# each wired device's signal mapping, the same object its description holds;
+# parts have none
+SIGNAL_MAPPINGS: Mapping[ComponentId, SignalMapping] = {
+    row[0]: row[4] for row in _DEVICE_TABLE if row[4] is not None
 }
 
 

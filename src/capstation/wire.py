@@ -21,7 +21,7 @@ from __future__ import annotations
 import contextlib
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, TextIO, Tuple, Union
 
 from .core.bemap import BeMapKV, ComponentId, ComponentValue, ValueKind
 from .core.graph import AnnotatedGraph, EdgeAnn, TemporalConstraint, TemporalCorrelation
@@ -46,7 +46,7 @@ from .errors import (
 )
 from .simulator import ACTIVATE, DEACTIVATE, Command, CommandScript, DropEvents, FaultSpec
 from .simulator import LatencyOverride, StuckSensor
-from .station import ACTUATORS, DEVICE_STATES
+from .station import ACTUATORS, SIGNAL_MAPPINGS
 
 
 def _obj(value, path: str) -> dict:
@@ -247,25 +247,70 @@ def event_to_obj(event: PhysicalEvent) -> dict:
 def event_from_obj(
     value, kinds: Mapping[ComponentId, DeviceKind], path: str = "event"
 ) -> PhysicalEvent:
+    return _event_from_obj(value, kinds, path, {}, {})
+
+
+_EVENT_KEYS = frozenset(("type", "component", "timepoint", "state"))
+_STATE_KEYS = frozenset(("type", "signal"))
+
+
+def _event_from_obj(
+    value,
+    kinds: Mapping[ComponentId, DeviceKind],
+    path: str,
+    devices: Dict[str, Tuple[ComponentId, DeviceKind]],
+    states: Dict[Tuple[str, str, str], DeviceState],
+) -> PhysicalEvent:
+    """`event_from_obj` with caches of the devices and states earlier
+    events checked: a (component, state type, signal) found there skips
+    the state and signal mapping checks and shares its DeviceState."""
     obj = _obj(value, path)
-    tag = _tag(obj, path)
-    if tag != "PhysicalEvent":
-        raise UnknownTypeTagError(tag, path)
-    _check_keys(obj, path, ["type", "component", "timepoint", "state"])
-    device = _component(obj["component"], f"{path}.component")
-    if device not in kinds:
-        raise UnknownDeviceError(device, f"{path}.component")
-    timepoint = TimePoint(_int(obj["timepoint"], f"{path}.timepoint"))
-    state = state_from_obj(obj["state"], f"{path}.state")
-    allowed = DEVICE_STATES.get(device)
-    if allowed is not None and state not in allowed:
-        known = " and ".join(f"{s.name}/{s.signal.value}" for s in allowed)
+    if obj.keys() != _EVENT_KEYS or obj["type"] != "PhysicalEvent":
+        tag = _tag(obj, path)
+        if tag != "PhysicalEvent":
+            raise UnknownTypeTagError(tag, path)
+        _check_keys(obj, path, ["type", "component", "timepoint", "state"])
+    name = obj["component"]
+    known = devices.get(name) if type(name) is str else None
+    if known is None:
+        device = _component(name, f"{path}.component")
+        if device not in kinds:
+            raise UnknownDeviceError(device, f"{path}.component")
+        known = devices[name] = device, kinds[device]
+    device, kind = known
+    t = obj["timepoint"]
+    if type(t) is not int:
+        _int(t, f"{path}.timepoint")
+    spec = obj["state"]
+    state = None
+    if type(spec) is dict and spec.keys() == _STATE_KEYS:
+        level, state_name = spec["signal"], spec["type"]
+        if type(level) is str and type(state_name) is str:
+            state = states.get((name, state_name, level))
+    if state is None:
+        state = _device_state(spec, device, kind, f"{path}.state")
+        states[name, state.name, state.signal.value] = state
+    return PhysicalEvent(device, kind, TimePoint(t), state)
+
+
+def _device_state(value, device: ComponentId, kind: DeviceKind, path: str) -> DeviceState:
+    """A concrete state `device` can be in: one of its signal mapping's two."""
+    state = state_from_obj(value, path)
+    mapping = SIGNAL_MAPPINGS.get(device)
+    if mapping is None:
+        if kind is DeviceKind.PART:
+            raise SchemaViolationError(
+                path, f"{device} cannot be {state.name}/{state.signal.value}; "
+                "it is a part and has no states"
+            )
+        return state  # a device the station does not have
+    allowed = mapping(state.signal)
+    if state != allowed:
         raise SchemaViolationError(
-            f"{path}.state",
-            f"{device} cannot be {state.name}/{state.signal.value}; "
-            + (f"its states are {known}" if known else "it is a part and has no states"),
+            path, f"{device} cannot be {state.name}/{state.signal.value}; its states are "
+            f"{mapping.high.name}/High and {mapping.low.name}/Low",
         )
-    return PhysicalEvent(device=device, kind=kinds[device], timepoint=timepoint, state=state)
+    return allowed
 
 
 def write_trace(target: Union[str, TextIO], events: Iterable[PhysicalEvent]) -> None:
@@ -280,31 +325,6 @@ def write_trace(target: Union[str, TextIO], events: Iterable[PhysicalEvent]) -> 
             out.write(json.dumps(event_to_obj(event)) + "\n")
 
 
-_EVENT_KEYS = frozenset(("type", "component", "timepoint", "state"))
-_STATE_KEYS = frozenset(("type", "signal"))
-
-
-def _seen_event(value, devices: dict, states: dict) -> Optional[PhysicalEvent]:
-    """The event of a line whose device and state an earlier line had
-    checked, built from their interned objects; None if the line needs the
-    full check."""
-    try:
-        component, state = value["component"], value["state"]
-        device, kind = devices[component]
-        checked = states[component, state["type"], state["signal"]]
-        t = value["timepoint"]
-        if (
-            type(t) is int
-            and value["type"] == "PhysicalEvent"
-            and value.keys() == _EVENT_KEYS
-            and state.keys() == _STATE_KEYS
-        ):
-            return PhysicalEvent(device, kind, TimePoint(t), checked)
-    except (KeyError, TypeError):  # not an object, a key missing, or unhashable
-        pass
-    return None
-
-
 def read_trace(
     source: Union[str, TextIO], kinds: Mapping[ComponentId, DeviceKind]
 ) -> Iterator[PhysicalEvent]:
@@ -313,22 +333,18 @@ def read_trace(
     line and stops the stream; the events before it have been yielded.
 
     Device kinds are resolved against `kinds`, usually `catalog.devices`.
-    A line gets the full check of `event_from_obj`, the device's signal
-    mapping included, the first time its (device, state type, signal) is
-    seen.  Later lines reuse that ComponentId and DeviceState (one per
-    device and one per state) and check only their shape and time.
+    An event's state must be one of the two of its device's signal mapping
+    in the station model; a device that `kinds` calls a part has none, and
+    one the station does not have is not checked for it.  Every line gets
+    the shape and time checks; the state's parse and mapping check run once
+    per distinct (device, state type, signal) of the trace, and later lines
+    share that ComponentId and DeviceState.
     """
     devices: Dict[str, Tuple[ComponentId, DeviceKind]] = {}
     states: Dict[Tuple[str, str, str], DeviceState] = {}
-    shared: Dict[DeviceState, DeviceState] = {}
     last = None
     for number, value in _json_lines(_lines(source)):
-        event = _seen_event(value, devices, states)
-        if event is None:
-            event = event_from_obj(value, kinds, path=f"line {number}")
-            state = shared.setdefault(event.state, event.state)
-            devices[event.device.id] = event.device, event.kind
-            states[event.device.id, state.name, state.signal.value] = state
+        event = _event_from_obj(value, kinds, f"line {number}", devices, states)
         t = event.timepoint.t
         if last is not None and t < last:
             raise OutOfOrderEventError(f"line {number}: event at {t} after {last}", line=number)

@@ -514,6 +514,22 @@ def test_error_mid_stream_keeps_the_alarms_and_removes_the_report(
     assert not report.exists()
 
 
+def test_a_failed_run_keeps_a_report_file_it_did_not_create(
+    catalog, faulty_trace, tmp_path, capsys
+):
+    lines, head = _late_extension_lines(catalog, faulty_trace)
+    broken = tmp_path / "trace.jsonl"
+    broken.write_text("".join(lines[:head]) + "{not json\n")
+    report = tmp_path / "report.json"
+    report.write_text("an earlier report\n")
+    argv = ["monitor", "--topology", "all", "--report", str(report), "--trace"]
+    assert cli_main(argv + [str(tmp_path / "missing.jsonl")]) == 2
+    assert report.read_text() == "an earlier report\n"
+    assert cli_main(argv + [str(broken)]) == 2
+    assert report.read_text().startswith("[\n  {")
+    assert "No such file" in capsys.readouterr().err
+
+
 def test_report_onto_the_trace_is_an_input_error(scenario_file, tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     cli_main(["simulate", "--scenario", str(scenario_file), "--out", str(trace)])

@@ -155,6 +155,13 @@ def test_signal_mappings_map_levels_to_distinct_names(catalog):
         assert mapping.low.signal is Signal.LOW
 
 
+def test_signal_mapping_table_is_what_the_descriptions_hold(catalog):
+    from capstation.station import SIGNAL_MAPPINGS
+
+    wired = itertools.chain(catalog.actuators, catalog.sensors)
+    assert SIGNAL_MAPPINGS == {device: catalog.signal_mapping(device) for device in wired}
+
+
 def test_part_associations_point_at_parts(catalog):
     for device in itertools.chain(catalog.actuators, catalog.sensors):
         part = ComponentId(catalog.description(device).get(KEY_PART_ASSOCIATION).value)
