@@ -57,23 +57,15 @@ def nominal_script() -> CommandScript:
 def two_cycles_script() -> CommandScript:
     """Two consecutive dispense cycles.
 
-    Cycle two re-arms every solenoid (drop-off must go Passive before it
-    can pull the arm again) and schedules its drop-off swing so the 3 s
-    sequence correlation from the second pickup contact lands exactly.
+    Cycle two is cycle one shifted by 4.8 s, less its first command: cycle
+    one ends with the arm at drop-off, so cycle two starts by releasing
+    the drop-off solenoid (it must go Passive before it can pull the arm
+    again), and its drop-off swing lands the 3 s sequence delay after the
+    second pickup contact.
     """
-    second = (
-        Command(8000, LOADER_DROPOFF, LOW),
-        Command(8200, LOADER_PICKUP, HIGH),
-        Command(9200, LOADER_PICKUP, LOW),
-        Command(9300, STACK_EJECTOR_EXTEND, HIGH),
-        Command(9800, VACUUM_GRIP, HIGH),
-        Command(10200, STACK_EJECTOR_EXTEND, LOW),
-        Command(11200, LOADER_DROPOFF, HIGH),
-        Command(12200, EJECT_AIR_PULSE, HIGH),
-        Command(12400, EJECT_AIR_PULSE, LOW),
-        Command(12500, VACUUM_GRIP, LOW),
-    )
-    return CommandScript(nominal_script().commands + second)
+    first = nominal_script().commands
+    second = tuple(Command(c.time + 4800, c.actuator, c.signal) for c in first[1:])
+    return CommandScript(first + second)
 
 
 def late_extension_fault(latency_ms: int = 350) -> List[FaultSpec]:

@@ -462,8 +462,8 @@ def stream_script(
     latencies: Optional[LatencyTable] = None,
 ) -> Iterator[PhysicalEvent]:
     """Run a command script lazily, yielding its time-ordered event trace
-    as it is simulated.  The faults and the stack count are checked when
-    this is called, before the first event.
+    as it is simulated.  The faults (errors name them `faults[i]`) and the
+    stack count are checked when this is called, before the first event.
 
     Deterministic for a fixed (script, faults, seed).  Latency overrides
     shift completion events; stuck sensors pin their reported state from
@@ -473,26 +473,25 @@ def stream_script(
     table = latencies or default_latency_table()
     stuck: Dict[ComponentId, DeviceState] = {}
     dropped = set()
-    for fault in faults:
+    for i, fault in enumerate(faults):
+        where = f"faults[{i}]"
         if fault.device not in catalog.devices:
-            raise UnknownDeviceError(fault.device)
-        if isinstance(fault, LatencyOverride):
-            table = table.with_override(fault.device, fault.latency_ms, fault.transition)
-        elif isinstance(fault, StuckSensor):
-            kind = catalog.kind(fault.device)
-            if kind is not DeviceKind.SENSOR:
-                raise ValueError(
-                    f"stuck-sensor fault on {fault.device}: the device is not a sensor ({kind.value})"
-                )
-            mapping = catalog.signal_mapping(fault.device)
-            try:
-                stuck[fault.device] = mapping.state_named(fault.state.name)
-            except ValueError as exc:
-                raise ValueError(f"stuck-sensor fault on {fault.device}: {exc}") from None
-        elif isinstance(fault, DropEvents):
-            dropped.add(fault.device)
-        else:
-            raise TypeError(f"unknown fault: {fault!r}")
+            raise UnknownDeviceError(fault.device, f"{where}.device")
+        try:
+            if isinstance(fault, LatencyOverride):
+                table = table.with_override(fault.device, fault.latency_ms, fault.transition)
+            elif isinstance(fault, StuckSensor):
+                where += f": stuck-sensor fault on {fault.device}"
+                kind = catalog.kind(fault.device)
+                if kind is not DeviceKind.SENSOR:
+                    raise ValueError(f"the device is not a sensor ({kind.value})")
+                stuck[fault.device] = catalog.signal_mapping(fault.device).state_named(fault.state.name)
+            elif isinstance(fault, DropEvents):
+                dropped.add(fault.device)
+            else:
+                raise TypeError(f"unknown fault: {fault!r}")
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
     events = Simulation(catalog, stack_count, table, random.Random(seed)).stream(script)
     if not stuck and not dropped:

@@ -5,9 +5,12 @@ pushes the bottom cap out, and a swing arm with a vacuum gripper that
 carries caps from the pickup spot to the drop-off area.
 
 Each device is stated once, as one row of `_DEVICE_TABLE`: its kind, type,
-pin, signal mapping, part, spatial variations, box and placeholder keys.
-`build_catalog` turns every row into a description with one fixed key
-order, and `PARTS`, `ACTUATORS` and `SENSORS` are read off the table.
+pin, signal mapping, part, spatial variations, box and placeholder keys;
+`PARTS`, `ACTUATORS` and `SENSORS` are read off it.  Each topology edge is
+stated once, as one row of `_EDGE_TABLE`.  `build_catalog` turns every
+device row into a description with one fixed key order, and every edge row
+into an annotated edge whose two states its devices' signal mappings must
+give.
 
 Geometry constants are layered: station edges anchor part edges, part
 edges anchor sensor edges, and sizes are shared between the two ejector
@@ -30,7 +33,6 @@ from .core.timing import TimeDurationRange, relative_duration
 from .devices import (
     ACTIVE,
     DeviceKind,
-    DeviceState,
     GRIP_SENSOR_MAPPING,
     GRIPPED,
     HIGH_SOLENOID_MAPPING,
@@ -242,6 +244,55 @@ SIGNAL_MAPPINGS: Mapping[ComponentId, SignalMapping] = {
 
 
 # ---------------------------------------------------------------------------
+# Edge table
+# ---------------------------------------------------------------------------
+
+# The documented process-sequence delay constant is stored raw; its unit
+# defaults to seconds and is decided by the monitor configuration.
+PROCESS_SEQUENCE_DELTA = 3
+
+# Windows (milliseconds) of the documented actuator-to-sensor rule and of
+# the documented actuator-to-actuator safety rule.
+EJECTOR_WINDOW = (200, 300)
+AVOIDANCE_WINDOW = (-500, 1000)
+
+# Synthetic windows sized around the simulator's default latencies.
+_SWING_WINDOW = (700, 900)
+_GRIP_WINDOW = (100, 200)
+_EJECT_WINDOW = (0, 100)
+
+# One row per topology edge, in rule (and report) order: topology, source,
+# cause state, target, effect state, timing and whether a documented fixture
+# backs the edge.  An int timing is an exact-delay correlation, a (min, max)
+# pair a constraint window.
+_EDGE_TABLE = (
+    # ProcessSequence: expected order of sensor state changes during normal processing.
+    (TopologyName.PROCESS_SEQUENCE, LOADER_PICKED_UP, OBSTRUCTED,
+     LOADER_DROPPED_OFF, OBSTRUCTED, PROCESS_SEQUENCE_DELTA, True),
+    # Causality: actuator state changes that must lead to sensor state changes.
+    (TopologyName.CAUSALITY, STACK_EJECTOR_EXTEND, ACTIVE,
+     STACK_EJECTOR_RETRACTED, UNOBSTRUCTED, EJECTOR_WINDOW, True),
+    (TopologyName.CAUSALITY, STACK_EJECTOR_EXTEND, PASSIVE,
+     STACK_EJECTOR_EXTENDED, UNOBSTRUCTED, EJECTOR_WINDOW, False),
+    (TopologyName.CAUSALITY, STACK_EJECTOR_EXTEND, ACTIVE,
+     STACK_EJECTOR_EXTENDED, OBSTRUCTED, EJECTOR_WINDOW, False),
+    (TopologyName.CAUSALITY, STACK_EJECTOR_EXTEND, PASSIVE,
+     STACK_EJECTOR_RETRACTED, OBSTRUCTED, EJECTOR_WINDOW, False),
+    (TopologyName.CAUSALITY, LOADER_PICKUP, ACTIVE,
+     LOADER_PICKED_UP, OBSTRUCTED, _SWING_WINDOW, False),
+    (TopologyName.CAUSALITY, LOADER_DROPOFF, ACTIVE,
+     LOADER_DROPPED_OFF, OBSTRUCTED, _SWING_WINDOW, False),
+    (TopologyName.CAUSALITY, VACUUM_GRIP, ACTIVE,
+     WORKPIECE_GRIPPED, GRIPPED, _GRIP_WINDOW, False),
+    (TopologyName.CAUSALITY, EJECT_AIR_PULSE, ACTIVE,
+     WORKPIECE_GRIPPED, RELEASED, _EJECT_WINDOW, False),
+    # Avoidance: temporal safety margin between the ejector and the pickup swing.
+    (TopologyName.AVOIDANCE, STACK_EJECTOR_EXTEND, ACTIVE,
+     LOADER_PICKUP, PASSIVE, AVOIDANCE_WINDOW, True),
+)
+
+
+# ---------------------------------------------------------------------------
 # Catalog
 # ---------------------------------------------------------------------------
 
@@ -308,114 +359,12 @@ class StationCatalog:
         return _edge_key(topology, edge) in self.synthetic_edges
 
 
-def _constraint(
-    cause: DeviceState, lo_ms: int, hi_ms: int, effect: DeviceState, inverse: bool = False
-) -> TemporalConstraint:
-    window = TimeDurationRange(
-        minimum=relative_duration(cause, lo_ms), maximum=relative_duration(cause, hi_ms)
-    )
-    return TemporalConstraint(cause=cause, range=window, effect=effect, inverse=inverse)
-
-
-def _correlation(cause: DeviceState, delta: int, effect: DeviceState) -> TemporalCorrelation:
-    return TemporalCorrelation(cause=cause, duration=relative_duration(cause, delta), effect=effect)
-
-
-# The documented process-sequence delay constant is stored raw; its unit
-# defaults to seconds and is decided by the monitor configuration.
-PROCESS_SEQUENCE_DELTA = 3
-
-# Window constants for the documented actuator-to-sensor rule (milliseconds).
-EJECTOR_WINDOW_MIN_MS = 200
-EJECTOR_WINDOW_MAX_MS = 300
-
-# Window for the documented actuator-to-actuator safety rule (milliseconds).
-AVOIDANCE_WINDOW_MIN_MS = -500
-AVOIDANCE_WINDOW_MAX_MS = 1000
-
-# Synthetic windows sized around the simulator's default latencies.
-_SWING_WINDOW = (700, 900)
-_GRIP_WINDOW = (100, 200)
-_EJECT_WINDOW = (0, 100)
-
-
-def build_process_sequence() -> AnnotatedGraph:
-    """Expected order of sensor state changes during normal processing."""
-    return AnnotatedGraph(
-        (
-            EdgeAnn(
-                LOADER_PICKED_UP,
-                LOADER_DROPPED_OFF,
-                _correlation(OBSTRUCTED, PROCESS_SEQUENCE_DELTA, OBSTRUCTED),
-            ),
-        )
-    )
-
-
-def build_causality() -> AnnotatedGraph:
-    """Actuator state changes that must lead to sensor state changes."""
-    lo, hi = EJECTOR_WINDOW_MIN_MS, EJECTOR_WINDOW_MAX_MS
-    edges = (
-        EdgeAnn(
-            STACK_EJECTOR_EXTEND,
-            STACK_EJECTOR_RETRACTED,
-            _constraint(ACTIVE, lo, hi, UNOBSTRUCTED),
-        ),
-        EdgeAnn(
-            STACK_EJECTOR_EXTEND,
-            STACK_EJECTOR_EXTENDED,
-            _constraint(PASSIVE, lo, hi, UNOBSTRUCTED),
-        ),
-        EdgeAnn(
-            STACK_EJECTOR_EXTEND,
-            STACK_EJECTOR_EXTENDED,
-            _constraint(ACTIVE, lo, hi, OBSTRUCTED),
-        ),
-        EdgeAnn(
-            STACK_EJECTOR_EXTEND,
-            STACK_EJECTOR_RETRACTED,
-            _constraint(PASSIVE, lo, hi, OBSTRUCTED),
-        ),
-        EdgeAnn(LOADER_PICKUP, LOADER_PICKED_UP, _constraint(ACTIVE, *_SWING_WINDOW, OBSTRUCTED)),
-        EdgeAnn(LOADER_DROPOFF, LOADER_DROPPED_OFF, _constraint(ACTIVE, *_SWING_WINDOW, OBSTRUCTED)),
-        EdgeAnn(VACUUM_GRIP, WORKPIECE_GRIPPED, _constraint(ACTIVE, *_GRIP_WINDOW, GRIPPED)),
-        EdgeAnn(EJECT_AIR_PULSE, WORKPIECE_GRIPPED, _constraint(ACTIVE, *_EJECT_WINDOW, RELEASED)),
-    )
-    return AnnotatedGraph(edges)
-
-
-def build_avoidance() -> AnnotatedGraph:
-    """Temporal safety margin between the ejector and the pickup swing."""
-    return AnnotatedGraph(
-        (
-            EdgeAnn(
-                STACK_EJECTOR_EXTEND,
-                LOADER_PICKUP,
-                _constraint(ACTIVE, AVOIDANCE_WINDOW_MIN_MS, AVOIDANCE_WINDOW_MAX_MS, PASSIVE),
-            ),
-        )
-    )
-
-
 def _edge_key(topology: TopologyName, edge: EdgeAnn) -> tuple:
     # endpoints alone do not identify an edge: the ejector edges share them
     ann = edge.annotation
     cause = ann.cause.name if ann is not None else None
     effect = ann.effect.name if ann is not None else None
     return (topology, edge.source, edge.target, cause, effect)
-
-
-# Edges backed by the documented JSON fixtures, one per topology.
-_DOCUMENTED_EDGES = frozenset(
-    {
-        (TopologyName.PROCESS_SEQUENCE, LOADER_PICKED_UP, LOADER_DROPPED_OFF,
-         "Obstructed", "Obstructed"),
-        (TopologyName.CAUSALITY, STACK_EJECTOR_EXTEND, STACK_EJECTOR_RETRACTED,
-         "Active", "Unobstructed"),
-        (TopologyName.AVOIDANCE, STACK_EJECTOR_EXTEND, LOADER_PICKUP,
-         "Active", "Passive"),
-    }
-)
 
 
 def documented_edge(catalog: "StationCatalog", topology: TopologyName) -> EdgeAnn:
@@ -427,7 +376,7 @@ def documented_edge(catalog: "StationCatalog", topology: TopologyName) -> EdgeAn
 
 
 def build_catalog() -> StationCatalog:
-    """Construct the full station catalog from the embedded constants."""
+    """Construct the full station catalog from the device and edge tables."""
     devices: Dict[ComponentId, DeviceKind] = {}
     descriptions: Dict[ComponentId, BeMapKV] = {}
     synthetic_entries = set()
@@ -447,22 +396,31 @@ def build_catalog() -> StationCatalog:
         )
         synthetic_entries.update((device, key) for key in placeholders)
 
-    topologies = {
-        TopologyName.PROCESS_SEQUENCE: build_process_sequence(),
-        TopologyName.CAUSALITY: build_causality(),
-        TopologyName.AVOIDANCE: build_avoidance(),
-    }
+    edges: Dict[TopologyName, list] = {name: [] for name in TopologyName}
     synthetic_edges = set()
-    for name, graph in topologies.items():
-        for edge in graph.edges:
-            key = _edge_key(name, edge)
-            if key not in _DOCUMENTED_EDGES:
-                synthetic_edges.add(key)
+    for topology, source, cause, target, effect, timing, documented in _EDGE_TABLE:
+        for device, state in ((source, cause), (target, effect)):
+            mapping = SIGNAL_MAPPINGS.get(device)
+            if mapping is None or state.name not in (mapping.high.name, mapping.low.name):
+                raise ValueError(
+                    f"edge table row {topology.value}: {source} {cause.name} -> "
+                    f"{target} {effect.name}: {device} has no state {state.name!r}"
+                )
+        if isinstance(timing, int):
+            annotation = TemporalCorrelation(cause, relative_duration(cause, timing), effect)
+        else:
+            lo, hi = timing
+            window = TimeDurationRange(relative_duration(cause, lo), relative_duration(cause, hi))
+            annotation = TemporalConstraint(cause, window, effect)
+        edge = EdgeAnn(source, target, annotation)
+        edges[topology].append(edge)
+        if not documented:
+            synthetic_edges.add(_edge_key(topology, edge))
 
     return StationCatalog(
         devices=devices,
         descriptions=descriptions,
-        topologies=topologies,
+        topologies={name: AnnotatedGraph(graph) for name, graph in edges.items()},
         synthetic_edges=frozenset(synthetic_edges),
         synthetic_entries=frozenset(synthetic_entries),
     )

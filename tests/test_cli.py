@@ -380,7 +380,8 @@ def test_simulate_reads_scenario_from_stdin(tmp_path, capsys, monkeypatch):
         ),
         (
             {"fault": "stuck-sensor", "device": "Stack Ejector Extend", "state": "Obstructed"},
-            "not a sensor",
+            "faults[0]: stuck-sensor fault on Stack Ejector Extend: the device is not a sensor "
+            "(Actuator)",
         ),
         ({"fault": "drop-events", "device": ""}, "faults[0].device: expected a non-empty string"),
         (
@@ -390,16 +391,21 @@ def test_simulate_reads_scenario_from_stdin(tmp_path, capsys, monkeypatch):
         ),
         (
             {"fault": "stuck-sensor", "device": "Stack Empty", "state": "Active"},
-            "stuck-sensor fault on Stack Empty: state 'Active' is not mapped",
+            "faults[0]: stuck-sensor fault on Stack Empty: state 'Active' is not mapped",
         ),
         (
             {"fault": "stuck-sensor", "device": "Stack Empty", "state": []},
             "faults[0].state: unknown state []",
         ),
+        ({"fault": "drop-events", "device": "Ghost"}, "faults[0].device: unknown device: Ghost"),
+        (
+            {"fault": "latency-override", "device": "Stack Empty", "latency_ms": 300},
+            "faults[0]: no motion latency for Stack Empty / None",
+        ),
     ],
     ids=[
         "negative-latency", "stuck-actuator", "empty-device", "bogus-transition",
-        "unmapped-stuck-state", "non-string-stuck-state",
+        "unmapped-stuck-state", "non-string-stuck-state", "unknown-device", "sensor-latency",
     ],
 )
 def test_out_of_range_fault_is_an_input_error(scenario_file, tmp_path, capsys, fault, message):

@@ -2,25 +2,23 @@ from __future__ import annotations
 
 from capstation.devices import OBSTRUCTED_HIGH, UNOBSTRUCTED_LOW
 from capstation.dot import render_dot
-from capstation.station import (
-    LOADER_DROPPED_OFF,
-    TopologyName,
-    build_process_sequence,
-)
+from capstation.station import LOADER_DROPPED_OFF, TopologyName
 
 
-def test_obstructed_sensor_renders_red():
-    doc = render_dot(build_process_sequence(), {LOADER_DROPPED_OFF: OBSTRUCTED_HIGH})
+def test_obstructed_sensor_renders_red(catalog):
+    graph = catalog.topologies[TopologyName.PROCESS_SEQUENCE]
+    doc = render_dot(graph, {LOADER_DROPPED_OFF: OBSTRUCTED_HIGH})
     assert '"Loader Dropped Off" [style=filled, fillcolor=red];' in doc
 
 
-def test_unobstructed_sensor_renders_green():
-    doc = render_dot(build_process_sequence(), {LOADER_DROPPED_OFF: UNOBSTRUCTED_LOW})
+def test_unobstructed_sensor_renders_green(catalog):
+    graph = catalog.topologies[TopologyName.PROCESS_SEQUENCE]
+    doc = render_dot(graph, {LOADER_DROPPED_OFF: UNOBSTRUCTED_LOW})
     assert '"Loader Dropped Off" [style=filled, fillcolor=green];' in doc
 
 
-def test_unknown_states_render_gray():
-    doc = render_dot(build_process_sequence())
+def test_unknown_states_render_gray(catalog):
+    doc = render_dot(catalog.topologies[TopologyName.PROCESS_SEQUENCE])
     assert doc.count("fillcolor=gray") == 2
 
 
@@ -29,8 +27,8 @@ def test_causality_edge_label_shows_the_window(catalog):
     assert "Active →[200,300]→ Unobstructed" in doc
 
 
-def test_correlation_edge_label_shows_the_delay():
-    doc = render_dot(build_process_sequence())
+def test_correlation_edge_label_shows_the_delay(catalog):
+    doc = render_dot(catalog.topologies[TopologyName.PROCESS_SEQUENCE])
     assert "Obstructed →[Δ=3]→ Obstructed" in doc
 
 

@@ -8,7 +8,8 @@ from capstation.core.bemap import ComponentId
 from capstation.core.geometry import Box3D
 from capstation.core.graph import TemporalConstraint, TemporalCorrelation
 from capstation.core.terms import Atom, Xor
-from capstation.devices import DeviceKind, HIGH_SOLENOID_MAPPING, Signal
+from capstation import station
+from capstation.devices import ACTIVE, DeviceKind, GRIPPED, HIGH_SOLENOID_MAPPING, OBSTRUCTED, Signal
 from capstation.station import (
     ACTUATORS,
     CAP_STACK_TUBE,
@@ -40,9 +41,7 @@ from capstation.station import (
     X,
     Y,
     Z,
-    build_avoidance,
-    build_causality,
-    build_process_sequence,
+    build_catalog,
     documented_edge,
     sensor_boxes,
 )
@@ -179,8 +178,8 @@ def test_process_sequence_involves_only_sensors(catalog):
         assert isinstance(edge.annotation, TemporalCorrelation)
 
 
-def test_process_sequence_documented_edge():
-    g = build_process_sequence()
+def test_process_sequence_documented_edge(catalog):
+    g = catalog.topologies[TopologyName.PROCESS_SEQUENCE]
     edge = g.edges[0]
     assert (edge.source, edge.target) == (LOADER_PICKED_UP, LOADER_DROPPED_OFF)
     ann = edge.annotation
@@ -189,8 +188,8 @@ def test_process_sequence_documented_edge():
     assert ann.duration.value_at_zero() == 3
 
 
-def test_process_sequence_is_acyclic():
-    g = build_process_sequence()
+def test_process_sequence_is_acyclic(catalog):
+    g = catalog.topologies[TopologyName.PROCESS_SEQUENCE]
     adjacency = {n: [e.target for e in g.edges if e.source == n] for n in g.nodes()}
 
     def has_cycle():
@@ -211,7 +210,7 @@ def test_process_sequence_is_acyclic():
 
 
 def test_causality_documented_edge_and_node_kinds(catalog):
-    g = build_causality()
+    g = catalog.topologies[TopologyName.CAUSALITY]
     for edge in g.edges:
         assert catalog.kind(edge.source) is DeviceKind.ACTUATOR
         assert catalog.kind(edge.target) is DeviceKind.SENSOR
@@ -226,8 +225,8 @@ def test_causality_documented_edge_and_node_kinds(catalog):
     assert ann.range.maximum.value_at_zero() == 300
 
 
-def test_causality_has_the_symmetric_retraction_edge():
-    g = build_causality()
+def test_causality_has_the_symmetric_retraction_edge(catalog):
+    g = catalog.topologies[TopologyName.CAUSALITY]
     hits = [
         e for e in g.edges
         if e.source == STACK_EJECTOR_EXTEND and e.target == STACK_EJECTOR_EXTENDED
@@ -239,7 +238,7 @@ def test_causality_has_the_symmetric_retraction_edge():
 
 
 def test_avoidance_documented_edge_and_node_kinds(catalog):
-    g = build_avoidance()
+    g = catalog.topologies[TopologyName.AVOIDANCE]
     assert g.nodes() <= set(ACTUATORS)
     edge = documented_edge(catalog, TopologyName.AVOIDANCE)
     ann = edge.annotation
@@ -275,3 +274,27 @@ def test_unknown_device_lookup_raises(catalog):
 
     with pytest.raises(UnknownDeviceError):
         catalog.kind(ComponentId("Bottle Filler"))
+
+
+@pytest.mark.parametrize(
+    "source, cause, target, effect, unmapped",
+    [
+        (STACK_EJECTOR_EXTEND, ACTIVE, STACK_EJECTOR_RETRACTED, GRIPPED,
+         "Stack Ejector Retracted has no state 'Gripped'"),
+        (STACK_EJECTOR_EXTEND, OBSTRUCTED, STACK_EJECTOR_RETRACTED, OBSTRUCTED,
+         "Stack Ejector Extend has no state 'Obstructed'"),
+        (LOADER, ACTIVE, LOADER_PICKED_UP, OBSTRUCTED, "Loader has no state 'Active'"),
+    ],
+    ids=["effect", "cause", "part"],
+)
+def test_an_edge_row_naming_an_unmapped_state_fails_the_build(
+    monkeypatch, source, cause, target, effect, unmapped
+):
+    row = (TopologyName.CAUSALITY, source, cause, target, effect, (200, 300), False)
+    monkeypatch.setattr(station, "_EDGE_TABLE", station._EDGE_TABLE + (row,))
+    with pytest.raises(ValueError) as excinfo:
+        build_catalog()
+    assert str(excinfo.value) == (
+        f"edge table row Causality: {source} {cause.name} -> {target} {effect.name}: {unmapped}"
+    )
+
