@@ -3,10 +3,11 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 import sys
-from typing import Dict
+from typing import Dict, List, Optional
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -32,7 +33,8 @@ def scenario_files() -> Dict[str, str]:
     }
 
 
-def main() -> None:
+def main(argv: Optional[List[str]] = None) -> None:
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
     root = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
     root.mkdir(exist_ok=True)
     for name, text in scenario_files().items():

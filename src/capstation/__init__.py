@@ -3,13 +3,12 @@ dispenser processing station."""
 
 from . import core, devices, dot, monitor, scenarios, simulator, station, wire
 from .monitor import MonitorConfig, Outcome, StreamMonitor, check_spatial, check_trace
-from .simulator import CommandScript, Simulation, run_script
+from .simulator import Simulation, run_script
 from .station import StationCatalog, TopologyName, build_catalog
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CommandScript",
     "MonitorConfig",
     "Outcome",
     "Simulation",

@@ -55,7 +55,13 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="run a command script")
     simulate.add_argument("--scenario", required=True)
     simulate.add_argument("--faults")
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seed of the latency jitter; the CLI runs with 0 ms of jitter, "
+        "so every seed gives the same trace",
+    )
     simulate.add_argument("--stack-count", type=int, default=5)
     simulate.add_argument("--out", required=True)
 

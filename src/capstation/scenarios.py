@@ -11,10 +11,10 @@ first ejection.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from .devices import Signal
-from .simulator import Command, CommandScript, FaultSpec, LatencyOverride, ACTIVATE
+from .simulator import Command, FaultSpec, LatencyOverride, ACTIVATE
 from .station import (
     EJECT_AIR_PULSE,
     LOADER_DROPOFF,
@@ -27,34 +27,32 @@ HIGH = Signal.HIGH
 LOW = Signal.LOW
 
 
-def nominal_script() -> CommandScript:
+def nominal_script() -> Tuple[Command, ...]:
     """One full cap-dispense cycle: swing out/back, eject, grip, deliver."""
-    return CommandScript(
-        (
-            # Arm to drop-off: completes at 3000, matching the 3 s sequence
-            # correlation fired by the initial pickup-contact event at t=0.
-            Command(2200, LOADER_DROPOFF, HIGH),
-            Command(3200, LOADER_DROPOFF, LOW),
-            # Arm back to pickup; releasing the solenoid afterwards provides
-            # the Passive event the avoidance window looks back for.
-            Command(3400, LOADER_PICKUP, HIGH),
-            Command(4400, LOADER_PICKUP, LOW),
-            # Push a cap out (extension completes at 4750) and grip it.
-            Command(4500, STACK_EJECTOR_EXTEND, HIGH),
-            Command(5000, VACUUM_GRIP, HIGH),
-            # Retract while holding the cap, then carry it to drop-off;
-            # the swing completes at 7200 = pickup contact (4200) + 3 s.
-            Command(5400, STACK_EJECTOR_EXTEND, LOW),
-            Command(6400, LOADER_DROPOFF, HIGH),
-            # Blow the cap off and shut the air handling down.
-            Command(7400, EJECT_AIR_PULSE, HIGH),
-            Command(7600, EJECT_AIR_PULSE, LOW),
-            Command(7700, VACUUM_GRIP, LOW),
-        )
+    return (
+        # Arm to drop-off: completes at 3000, matching the 3 s sequence
+        # correlation fired by the initial pickup-contact event at t=0.
+        Command(2200, LOADER_DROPOFF, HIGH),
+        Command(3200, LOADER_DROPOFF, LOW),
+        # Arm back to pickup; releasing the solenoid afterwards provides
+        # the Passive event the avoidance window looks back for.
+        Command(3400, LOADER_PICKUP, HIGH),
+        Command(4400, LOADER_PICKUP, LOW),
+        # Push a cap out (extension completes at 4750) and grip it.
+        Command(4500, STACK_EJECTOR_EXTEND, HIGH),
+        Command(5000, VACUUM_GRIP, HIGH),
+        # Retract while holding the cap, then carry it to drop-off;
+        # the swing completes at 7200 = pickup contact (4200) + 3 s.
+        Command(5400, STACK_EJECTOR_EXTEND, LOW),
+        Command(6400, LOADER_DROPOFF, HIGH),
+        # Blow the cap off and shut the air handling down.
+        Command(7400, EJECT_AIR_PULSE, HIGH),
+        Command(7600, EJECT_AIR_PULSE, LOW),
+        Command(7700, VACUUM_GRIP, LOW),
     )
 
 
-def two_cycles_script() -> CommandScript:
+def two_cycles_script() -> Tuple[Command, ...]:
     """Two consecutive dispense cycles.
 
     Cycle two is cycle one shifted by 4.8 s, less its first command: cycle
@@ -63,9 +61,8 @@ def two_cycles_script() -> CommandScript:
     again), and its drop-off swing lands the 3 s sequence delay after the
     second pickup contact.
     """
-    first = nominal_script().commands
-    second = tuple(Command(c.time + 4800, c.actuator, c.signal) for c in first[1:])
-    return CommandScript(first + second)
+    first = nominal_script()
+    return first + tuple(Command(c.time + 4800, c.actuator, c.signal) for c in first[1:])
 
 
 def late_extension_fault(latency_ms: int = 350) -> List[FaultSpec]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .core.bemap import ComponentId
 from .core.timing import TimePoint
@@ -133,28 +133,12 @@ def default_latency_table(jitter_ms: int = 0) -> LatencyTable:
     )
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
+    """One script line; a script is any time-ordered sequence of these."""
+
     time: int
     actuator: ComponentId
     signal: Signal
-
-    def __post_init__(self):
-        if self.signal is Signal.DONT_CARE:
-            raise ValueError("commands must carry a concrete signal")
-
-
-@dataclass(frozen=True)
-class CommandScript:
-    commands: tuple = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "commands", tuple(self.commands))
-        last = None
-        for cmd in self.commands:
-            if last is not None and cmd.time < last:
-                raise ValueError("script times must be nondecreasing")
-            last = cmd.time
 
 
 @dataclass(frozen=True)
@@ -209,7 +193,6 @@ class Simulation:
     ):
         if stack_count < 0:
             raise ValueError("stack count must be non-negative")
-        self.catalog = catalog
         self.latencies = latencies or default_latency_table()
         self.rng = rng or random.Random(0)
         # events emitted and not yet taken by `stream`
@@ -247,41 +230,38 @@ class Simulation:
             base += self.rng.randint(-self.latencies.jitter_ms, self.latencies.jitter_ms)
         return max(base, 0)
 
-    def _pending(self) -> List[Tuple[int, int, str]]:
+    def _complete_next(self, t: Optional[int] = None) -> bool:
+        """Run the earliest completion due at or before t (the earliest of
+        all for None) and move the clock to it; ties go ejector, arm, grip,
+        eject.  Returns whether one ran."""
         s = self.state
-        out = []
-        if s.ejector.motion is not None:
-            out.append((s.ejector.motion.end, 0, "ejector"))
-        if s.arm.motion is not None:
-            out.append((s.arm.motion.end, 1, "arm"))
-        if s.grip_eta is not None:
-            out.append((s.grip_eta, 2, "grip"))
-        if s.eject_eta is not None:
-            out.append((s.eject_eta, 3, "eject"))
-        return out
+        ejector = None if s.ejector.motion is None else s.ejector.motion.end
+        arm = None if s.arm.motion is None else s.arm.motion.end
+        due = [when for when in (ejector, arm, s.grip_eta, s.eject_eta) if when is not None]
+        when = min(due, default=None)
+        if when is None or (t is not None and when > t):
+            return False
+        if when == ejector:
+            self._complete_motion(s.ejector, when)
+        elif when == arm:
+            self._complete_motion(s.arm, when)
+        elif when == s.grip_eta:
+            self._complete_grip(when)
+        else:
+            self._complete_eject(when)
+        s.clock = when
+        return True
 
     def advance(self, t: int) -> None:
         """Process all completions due at or before t, then set the clock."""
-        while True:
-            pending = [p for p in self._pending() if p[0] <= t]
-            if not pending:
-                break
-            when, _, what = min(pending)
-            if what == "ejector":
-                self._complete_motion(self.state.ejector, when)
-            elif what == "arm":
-                self._complete_motion(self.state.arm, when)
-            elif what == "grip":
-                self._complete_grip(when)
-            else:
-                self._complete_eject(when)
-            self.state.clock = when
+        while self._complete_next(t):
+            pass
         self.state.clock = max(self.state.clock, t)
 
     def settle(self) -> None:
         """Drain every pending motion and scheduled effect."""
-        while self._pending():
-            self.advance(max(p[0] for p in self._pending()))
+        while self._complete_next():
+            pass
 
     # -- completions ---------------------------------------------------------
 
@@ -371,7 +351,7 @@ class Simulation:
     def command(self, actuator: ComponentId, signal: Signal, t: int) -> List[PhysicalEvent]:
         """Apply one actuator command; returns the events this call emitted,
         including completions that fell due at or before t."""
-        if actuator not in self.catalog.devices or self.catalog.kind(actuator) is not DeviceKind.ACTUATOR:
+        if actuator not in self.state.actuator_signals:
             raise UnknownActuatorError(actuator)
         if signal is Signal.DONT_CARE:
             raise ValueError("commands must carry a concrete signal")
@@ -417,33 +397,30 @@ class Simulation:
         taken, self.events = self.events, []
         return taken
 
-    def stream(self, script: CommandScript) -> Iterator[PhysicalEvent]:
+    def stream(self, script: Sequence[Command]) -> Iterator[PhysicalEvent]:
         """Run the script lazily: yield the events emitted so far (the
         initial readings), then each command's, then those of the final
         settle.  Yielded events leave `events`, so a run holds only the
         events of the current command."""
         yield from self._taken()
-        for index, cmd in enumerate(script.commands):
+        for index, (time, actuator, signal) in enumerate(script):
             try:
-                self.command(cmd.actuator, cmd.signal, cmd.time)
+                self.command(actuator, signal, time)
             except ModelError as exc:
                 if hasattr(exc, "add_note"):  # 3.11+
-                    exc.add_note(
-                        f"script command {index}: {cmd.actuator} "
-                        f"{cmd.signal.value} @ {cmd.time}"
-                    )
+                    exc.add_note(f"script command {index}: {actuator} {signal.value} @ {time}")
                 raise
             yield from self._taken()
         self.settle()
         yield from self._taken()
 
-    def run(self, script: CommandScript) -> List[PhysicalEvent]:
+    def run(self, script: Sequence[Command]) -> List[PhysicalEvent]:
         return list(self.stream(script))
 
 
 def run_script(
     catalog: StationCatalog,
-    script: CommandScript,
+    script: Sequence[Command],
     faults: Sequence[FaultSpec] = (),
     seed: int = 0,
     stack_count: int = 5,
@@ -455,7 +432,7 @@ def run_script(
 
 def stream_script(
     catalog: StationCatalog,
-    script: CommandScript,
+    script: Sequence[Command],
     faults: Sequence[FaultSpec] = (),
     seed: int = 0,
     stack_count: int = 5,
@@ -485,7 +462,7 @@ def stream_script(
                 kind = catalog.kind(fault.device)
                 if kind is not DeviceKind.SENSOR:
                     raise ValueError(f"the device is not a sensor ({kind.value})")
-                stuck[fault.device] = catalog.signal_mapping(fault.device).state_named(fault.state.name)
+                stuck[fault.device] = SIGNAL_MAPPINGS[fault.device].state_named(fault.state.name)
             elif isinstance(fault, DropEvents):
                 dropped.add(fault.device)
             else:

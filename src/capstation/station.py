@@ -328,28 +328,12 @@ class StationCatalog:
         return tuple(d for d, k in self.devices.items() if k is kind)
 
     @property
-    def parts(self) -> Tuple[ComponentId, ...]:
-        return self.of_kind(DeviceKind.PART)
-
-    @property
     def actuators(self) -> Tuple[ComponentId, ...]:
         return self.of_kind(DeviceKind.ACTUATOR)
 
     @property
     def sensors(self) -> Tuple[ComponentId, ...]:
         return self.of_kind(DeviceKind.SENSOR)
-
-    def signal_mapping(self, device: ComponentId) -> SignalMapping:
-        value = self.description(device).get(KEY_SIGNAL_MAPPING)
-        if value is None:
-            raise UnknownDeviceError(f"{device} has no signal mapping")
-        return value.value
-
-    def gpio(self, device: ComponentId) -> int:
-        value = self.description(device).get(KEY_GPIO)
-        if value is None:
-            raise UnknownDeviceError(f"{device} has no GPIO pin")
-        return value.value
 
     def box(self, device: ComponentId) -> Optional[Box3D]:
         value = self.description(device).get(KEY_SPATIAL_LOCATION)

@@ -44,7 +44,7 @@ from .errors import (
     UnknownTypeTagError,
     UnsupportedAnnotationError,
 )
-from .simulator import ACTIVATE, DEACTIVATE, Command, CommandScript, DropEvents, FaultSpec
+from .simulator import ACTIVATE, DEACTIVATE, Command, DropEvents, FaultSpec
 from .simulator import LatencyOverride, StuckSensor
 from .station import ACTUATORS, SIGNAL_MAPPINGS
 
@@ -355,24 +355,22 @@ def read_trace(
 # -- scenario scripts and fault files ---------------------------------------------
 
 
-def script_to_lines(script: CommandScript) -> str:
+def script_to_lines(script: Sequence[Command]) -> str:
     return "".join(
-        json.dumps(
-            {"time_ms": cmd.time, "actuator": cmd.actuator.id, "signal": cmd.signal.value}
-        )
-        + "\n"
-        for cmd in script.commands
+        json.dumps({"time_ms": time, "actuator": actuator.id, "signal": signal.value}) + "\n"
+        for time, actuator, signal in script
     )
 
 
-def write_script(target: Union[str, TextIO], script: CommandScript) -> None:
+def write_script(target: Union[str, TextIO], script: Sequence[Command]) -> None:
     _write_text(target, script_to_lines(script))
 
 
-_ACTUATOR_IDS = frozenset(actuator.id for actuator in ACTUATORS)
+_ACTUATORS_BY_ID = {actuator.id: actuator for actuator in ACTUATORS}
 
 
-def read_script(source: Union[str, TextIO]) -> CommandScript:
+def read_script(source: Union[str, TextIO]) -> Tuple[Command, ...]:
+    """Read and check a whole script; its commands share the station's actuators."""
     commands: List[Command] = []
     for number, value in _json_lines(_lines(source)):
         path = f"line {number}"
@@ -385,11 +383,13 @@ def read_script(source: Union[str, TextIO]) -> CommandScript:
             raise SchemaViolationError(
                 path, f"time_ms {time} is earlier than the previous line's {commands[-1].time}"
             )
-        actuator = _component(obj["actuator"], f"{path}.actuator")
-        if actuator.id not in _ACTUATOR_IDS:
-            raise SchemaViolationError(f"{path}.actuator", f"unknown actuator: {actuator}")
-        commands.append(Command(time=time, actuator=actuator, signal=Signal(obj["signal"])))
-    return CommandScript(tuple(commands))
+        name = obj["actuator"]
+        actuator = _ACTUATORS_BY_ID.get(name) if isinstance(name, str) else None
+        if actuator is None:
+            _component(name, f"{path}.actuator")  # a non-string or empty id has its own message
+            raise SchemaViolationError(f"{path}.actuator", f"unknown actuator: {name}")
+        commands.append(Command(time, actuator, Signal(obj["signal"])))
+    return tuple(commands)
 
 
 def faults_from_obj(value) -> List[FaultSpec]:

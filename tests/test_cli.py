@@ -352,6 +352,16 @@ def test_simulate_matches_its_golden_bytes(capsys, golden_dir, argv, golden):
     assert captured.err == ""
 
 
+def test_simulate_seed_changes_nothing_without_jitter(capsys):
+    # the CLI's latency table has no jitter, so the seed draws nothing
+    traces = []
+    for seed in ("0", "12345"):
+        argv = ["simulate", "--scenario", str(SCENARIOS / "two_cycles.jsonl"), "--seed", seed]
+        assert cli_main([*argv, "--out", "-"]) == 0
+        traces.append(capsys.readouterr().out)
+    assert traces[0] == traces[1] != ""
+
+
 def test_model_dump_all_topologies_dot(capsys):
     assert cli_main(["model", "dump", "--topology", "all", "--format", "dot"]) == 0
     out = capsys.readouterr().out

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from capstation.simulator import (
     ACTIVATE,
     ArmPosition,
     Command,
-    CommandScript,
     DropEvents,
     EjectorPosition,
     LatencyOverride,
@@ -30,6 +30,7 @@ from capstation.station import (
     LOADER_DROPPED_OFF,
     LOADER_PICKED_UP,
     LOADER_PICKUP,
+    SIGNAL_MAPPINGS,
     STACK_EJECTOR_EXTEND,
     STACK_EJECTOR_EXTENDED,
     STACK_EJECTOR_RETRACTED,
@@ -140,6 +141,17 @@ def test_second_push_onto_an_occupied_spot_jams_and_loses_the_cap(catalog):
     assert s.cap_at_pickup_spot and not s.gripped
 
 
+def test_simultaneous_completions_run_the_ejector_before_the_arm(catalog):
+    sim = Simulation(catalog)
+    sim.command(LOADER_DROPOFF, HIGH, 0)  # the swing lands at 800
+    sim.command(STACK_EJECTOR_EXTEND, HIGH, 550)  # the extension lands at 800 too
+    sim.settle()
+    landed = [e.device for e in sim.events if e.timepoint.t == 800]
+    assert landed == [
+        STACK_EJECTOR_RETRACTED, STACK_EJECTOR_EXTENDED, LOADER_PICKED_UP, LOADER_DROPPED_OFF,
+    ]
+
+
 def test_eject_pulse_releases_the_cap(catalog):
     sim = Simulation(catalog)
     sim.command(STACK_EJECTOR_EXTEND, HIGH, 0)
@@ -153,7 +165,7 @@ def test_eject_pulse_releases_the_cap(catalog):
 
 
 def test_empty_script_yields_only_initial_events(catalog):
-    events = run_script(catalog, CommandScript(()))
+    events = run_script(catalog, ())
     assert len(events) == len(catalog.sensors)
     assert all(e.timepoint.t == 0 for e in events)
 
@@ -173,9 +185,14 @@ def test_time_regression_rejected(catalog):
         sim.command(VACUUM_GRIP, HIGH, 99)
 
 
-def test_script_times_must_be_nondecreasing():
-    with pytest.raises(ValueError):
-        CommandScript((Command(5, STACK_EJECTOR_EXTEND, HIGH), Command(4, VACUUM_GRIP, HIGH)))
+def test_script_times_must_be_nondecreasing(catalog):
+    import sys
+
+    script = (Command(5, STACK_EJECTOR_EXTEND, HIGH), Command(4, VACUUM_GRIP, HIGH))
+    with pytest.raises(TimeRegressionError) as err:
+        Simulation(catalog).run(script)
+    if sys.version_info >= (3, 11):
+        assert any("script command 1" in note for note in err.value.__notes__)
 
 
 def test_redundant_signal_changes_nothing(catalog):
@@ -259,14 +276,14 @@ def test_dropped_events_vanish_but_state_advances(catalog):
 
 def test_fault_device_must_exist(catalog):
     with pytest.raises(UnknownDeviceError):
-        run_script(catalog, CommandScript(()), faults=[DropEvents(ComponentId("Ghost"))])
+        run_script(catalog, (), faults=[DropEvents(ComponentId("Ghost"))])
 
 
 def test_latency_override_needs_a_motion(catalog):
     with pytest.raises(ValueError):
         run_script(
             catalog,
-            CommandScript(()),
+            (),
             faults=[LatencyOverride(STACK_EJECTOR_EXTENDED, 350)],
         )
 
@@ -297,29 +314,82 @@ scripts = st.lists(
     ),
     max_size=25,
 ).map(
-    lambda steps: CommandScript(
-        tuple(
-            Command(t, actuator, signal)
-            for (t, actuator, signal) in (
-                (sum(d for d, _, _ in steps[: i + 1]), a, s)
-                for i, (d, a, s) in enumerate(steps)
-            )
+    lambda steps: tuple(
+        Command(t, actuator, signal)
+        for (t, actuator, signal) in (
+            (sum(d for d, _, _ in steps[: i + 1]), a, s)
+            for i, (d, a, s) in enumerate(steps)
         )
     )
 )
 
 
+_SENSOR_LIST = [
+    STACK_EMPTY, STACK_EJECTOR_RETRACTED, STACK_EJECTOR_EXTENDED,
+    LOADER_PICKED_UP, LOADER_DROPPED_OFF, WORKPIECE_GRIPPED,
+]
+
+faults = st.lists(
+    st.one_of(
+        # a stuck sensor pinned to one of the two states its mapping names
+        st.tuples(st.sampled_from(_SENSOR_LIST), st.sampled_from([HIGH, LOW])).map(
+            lambda p: StuckSensor(p[0], SIGNAL_MAPPINGS[p[0]](p[1]))
+        ),
+        st.sampled_from(_ACTUATOR_LIST + _SENSOR_LIST).map(DropEvents),
+        # an override of one (actuator, transition) latency, or of all of the actuator's
+        st.tuples(
+            st.sampled_from(list(default_latency_table().durations)),
+            st.integers(0, 1500),
+            st.booleans(),
+        ).map(lambda p: LatencyOverride(p[0][0], p[1], p[0][1] if p[2] else None)),
+    ),
+    max_size=3,
+)
+jitters = st.sampled_from([0, 30, 120])
+
+
+def latency_table(jitter, faults):
+    """The latency table `run_script` builds from the faults' overrides."""
+    table = default_latency_table(jitter_ms=jitter)
+    for fault in faults:
+        if isinstance(fault, LatencyOverride):
+            table = table.with_override(fault.device, fault.latency_ms, fault.transition)
+    return table
+
+
 @settings(max_examples=120, deadline=None)
-@given(scripts, st.integers(0, 6))
-def test_random_scripts_yield_ordered_coherent_traces(script, stack):
+@given(scripts, st.integers(0, 6), faults, jitters, st.integers(0, 2**30))
+def test_random_scripts_yield_ordered_coherent_traces(script, stack, faults, jitter, seed):
     from capstation.station import build_catalog
 
     catalog = build_catalog()
-    sim = Simulation(catalog, stack_count=stack)
+    trace = run_script(
+        catalog, script, faults, seed=seed, stack_count=stack,
+        latencies=default_latency_table(jitter_ms=jitter),
+    )
+    # the same run without the stuck and drop faults, which change only the output
+    sim = Simulation(catalog, stack, latency_table(jitter, faults), random.Random(seed))
     events = sim.run(script)
 
-    times = [e.timepoint.t for e in events]
-    assert times == sorted(times)
+    for run in (trace, events):
+        times = [e.timepoint.t for e in run]
+        assert times == sorted(times)
+        reported = {}
+        for e in run:
+            assert reported.get(e.device) != e.state, f"{e.device} repeats {e.state}"
+            reported[e.device] = e.state
+
+    dropped = {f.device for f in faults if isinstance(f, DropEvents)}
+    stuck = {
+        f.device: f.state for f in faults if isinstance(f, StuckSensor) and f.device not in dropped
+    }
+    assert not any(e.device in dropped for e in trace)
+    for device, pinned in stuck.items():
+        assert [e.state for e in trace if e.device == device] == [pinned]
+    faulted = dropped | set(stuck)
+    assert [e for e in trace if e.device not in faulted] == [
+        e for e in events if e.device not in faulted
+    ]
 
     # exclusion: the two position sensors are never obstructed at once,
     # evaluated after all events of each instant have been applied
@@ -345,24 +415,23 @@ def test_random_scripts_yield_ordered_coherent_traces(script, stack):
 
 
 @settings(max_examples=60, deadline=None)
-@given(scripts, st.integers(0, 3), st.integers(0, 2**30))
-def test_random_scripts_are_deterministic(script, stack, seed):
+@given(scripts, st.integers(0, 3), st.integers(0, 2**30), faults, jitters)
+def test_random_scripts_are_deterministic(script, stack, seed, faults, jitter):
     from capstation.station import build_catalog
 
     catalog = build_catalog()
-    a = run_script(catalog, script, stack_count=stack, seed=seed)
-    b = run_script(catalog, script, stack_count=stack, seed=seed)
+    table = default_latency_table(jitter_ms=jitter)
+    a = run_script(catalog, script, faults, stack_count=stack, seed=seed, latencies=table)
+    b = run_script(catalog, script, faults, stack_count=stack, seed=seed, latencies=table)
     assert a == b
 
 
 def test_script_errors_carry_the_command_index(catalog):
     import sys
 
-    script = CommandScript(
-        (
-            Command(10, STACK_EJECTOR_EXTEND, HIGH),
-            Command(20, ComponentId("Ghost Actuator"), HIGH),
-        )
+    script = (
+        Command(10, STACK_EJECTOR_EXTEND, HIGH),
+        Command(20, ComponentId("Ghost Actuator"), HIGH),
     )
     with pytest.raises(UnknownActuatorError) as err:
         Simulation(catalog).run(script)
@@ -375,7 +444,7 @@ def test_apply_command_chain_matches_run_script_when_motions_settle(catalog):
     # settling after each command must reproduce the engine timeline
     script = nominal_script()
     sim = Simulation(catalog, stack_count=5)
-    for cmd in script.commands:
+    for cmd in script:
         settled(sim, cmd.actuator, cmd.signal, cmd.time)
     assert sim.events == run_script(catalog, script, stack_count=5)
 

@@ -59,7 +59,7 @@ EXPECTED_PARTS = {STACK_EJECTOR, CAP_STACK_TUBE, LOADER, VACUUM_GRIPPER}
 def test_device_inventory(catalog):
     assert set(catalog.actuators) == EXPECTED_ACTUATORS
     assert set(catalog.sensors) == EXPECTED_SENSORS
-    assert set(catalog.parts) == EXPECTED_PARTS
+    assert set(PARTS) == EXPECTED_PARTS
     assert set(catalog.devices) == EXPECTED_ACTUATORS | EXPECTED_SENSORS | EXPECTED_PARTS
 
 
@@ -139,16 +139,19 @@ def test_sensor_boxes_are_pairwise_disjoint(catalog):
 
 
 def test_gpio_pins_are_unique_across_devices(catalog):
-    pins = [catalog.gpio(d) for d in itertools.chain(catalog.actuators, catalog.sensors)]
+    def gpio(device):
+        return catalog.description(device).get(KEY_GPIO).value
+
+    pins = [gpio(d) for d in itertools.chain(catalog.actuators, catalog.sensors)]
     assert len(pins) == len(set(pins))
-    assert catalog.gpio(STACK_EJECTOR_EXTENDED) == 0
-    assert catalog.gpio(STACK_EJECTOR_RETRACTED) == 3
-    assert catalog.gpio(VACUUM_GRIP) == 5
+    assert gpio(STACK_EJECTOR_EXTENDED) == 0
+    assert gpio(STACK_EJECTOR_RETRACTED) == 3
+    assert gpio(VACUUM_GRIP) == 5
 
 
 def test_signal_mappings_map_levels_to_distinct_names(catalog):
     for device in itertools.chain(catalog.actuators, catalog.sensors):
-        mapping = catalog.signal_mapping(device)
+        mapping = catalog.description(device).get(KEY_SIGNAL_MAPPING).value
         assert mapping.high.name != mapping.low.name
         assert mapping.high.signal is Signal.HIGH
         assert mapping.low.signal is Signal.LOW
@@ -158,7 +161,9 @@ def test_signal_mapping_table_is_what_the_descriptions_hold(catalog):
     from capstation.station import SIGNAL_MAPPINGS
 
     wired = itertools.chain(catalog.actuators, catalog.sensors)
-    assert SIGNAL_MAPPINGS == {device: catalog.signal_mapping(device) for device in wired}
+    assert SIGNAL_MAPPINGS == {
+        device: catalog.description(device).get(KEY_SIGNAL_MAPPING).value for device in wired
+    }
 
 
 def test_part_associations_point_at_parts(catalog):
