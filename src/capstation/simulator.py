@@ -367,29 +367,27 @@ class Simulation:
         self.events.append(PhysicalEvent(actuator, DeviceKind.ACTUATOR, TimePoint(t), meaning))
         active = meaning.name == "Active"
 
-        if actuator == STACK_EJECTOR_EXTEND:
-            if active:
-                self._move(s.ejector, EjectorPosition.EXTENDED,
-                           self._latency(actuator, ACTIVATE), t)
-            else:
-                self._move(s.ejector, EjectorPosition.RETRACTED,
-                           self._latency(actuator, DEACTIVATE), t)
-        elif actuator == LOADER_PICKUP and active:
-            self._move(s.arm, ArmPosition.AT_PICKUP, self._latency(actuator, ACTIVATE), t)
-        elif actuator == LOADER_DROPOFF and active:
-            self._move(s.arm, ArmPosition.AT_DROPOFF, self._latency(actuator, ACTIVATE), t)
-        elif actuator == VACUUM_GRIP:
-            if active:
-                s.vacuum_on = True
-                self._maybe_start_grip(t)
-            else:
-                s.vacuum_on = False
-                s.grip_eta = None
-                if s.gripped:
-                    self._release_cap(t)  # suction collapses immediately
-        elif actuator == EJECT_AIR_PULSE:
-            if active and s.gripped and s.eject_eta is None:
-                s.eject_eta = t + self._latency(actuator, ACTIVATE)
+        match actuator.id:  # string compares, not dataclass ones
+            case STACK_EJECTOR_EXTEND.id:
+                transition = ACTIVATE if active else DEACTIVATE
+                to = EjectorPosition.EXTENDED if active else EjectorPosition.RETRACTED
+                self._move(s.ejector, to, self._latency(actuator, transition), t)
+            case LOADER_PICKUP.id if active:
+                self._move(s.arm, ArmPosition.AT_PICKUP, self._latency(actuator, ACTIVATE), t)
+            case LOADER_DROPOFF.id if active:
+                self._move(s.arm, ArmPosition.AT_DROPOFF, self._latency(actuator, ACTIVATE), t)
+            case VACUUM_GRIP.id:
+                if active:
+                    s.vacuum_on = True
+                    self._maybe_start_grip(t)
+                else:
+                    s.vacuum_on = False
+                    s.grip_eta = None
+                    if s.gripped:
+                        self._release_cap(t)  # suction collapses immediately
+            case EJECT_AIR_PULSE.id:
+                if active and s.gripped and s.eject_eta is None:
+                    s.eject_eta = t + self._latency(actuator, ACTIVATE)
 
         return self.events[before:]
 

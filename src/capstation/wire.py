@@ -12,16 +12,15 @@ don't-care level is implied); concrete event states always carry one.
 
 Traces stream: `write_trace` writes each event as it comes, `read_trace`
 yields each event as its line is read, and `write_report` writes the
-monitor's report one verdict at a time.  None of them holds the whole
-trace or report.
+report one verdict at a time; none holds the whole trace or report.  The
+writers render each rule's and (device, state)'s text once, by json.dumps.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-from json.encoder import encode_basestring_ascii as _quote
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, TextIO, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
 from .core.bemap import BeMapKV, ComponentId, ComponentValue, ValueKind
 from .core.graph import AnnotatedGraph, EdgeAnn, TemporalConstraint, TemporalCorrelation
@@ -125,7 +124,7 @@ def _json_lines(chunks: Iterable[str]) -> Iterator[Tuple[int, object]]:
                 continue
             try:
                 yield number, json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
                 raise MalformedJsonError(f"line {number}: {exc}", line=number) from exc
 
 
@@ -313,8 +312,23 @@ def _device_state(value, device: ComponentId, kind: DeviceKind, path: str) -> De
     return allowed
 
 
+def _event_text(cache: dict, event: PhysicalEvent, indent: Optional[int]) -> str:
+    """json.dumps(event_to_obj(event), indent=indent), nested as in the report.
+    The text on either side of the timepoint is rendered once per (device,
+    state) into `cache`; names escape their quotes, so only the key is split."""
+    key = (event.device.id, event.state.name, event.state.signal.value)
+    halves = cache.get(key)
+    if halves is None:
+        obj = {**event_to_obj(event), "timepoint": 0}
+        dump = json.dumps(obj, indent=indent).replace("\n", "\n    ")
+        before, _, after = dump.partition('"timepoint": 0')
+        halves = cache[key] = before + '"timepoint": ', after
+    return f"{halves[0]}{event.timepoint.t}{halves[1]}"
+
+
 def write_trace(target: Union[str, TextIO], events: Iterable[PhysicalEvent]) -> None:
     """Write events as JSON lines, each as it comes; events must be time-ordered."""
+    lines: Dict[Tuple[str, str, str], Tuple[str, str]] = {}
     with _opened(target) as out:
         last = None
         for event in events:
@@ -322,7 +336,7 @@ def write_trace(target: Union[str, TextIO], events: Iterable[PhysicalEvent]) -> 
             if last is not None and t < last:
                 raise OutOfOrderEventError(f"event at {t} after event at {last}")
             last = t
-            out.write(json.dumps(event_to_obj(event)) + "\n")
+            out.write(_event_text(lines, event, None) + "\n")
 
 
 def read_trace(
@@ -437,7 +451,7 @@ def faults_from_obj(value) -> List[FaultSpec]:
 def read_faults(source: Union[str, TextIO]) -> List[FaultSpec]:
     try:
         value = json.loads("".join(_lines(source)))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise MalformedJsonError(str(exc)) from exc
     return faults_from_obj(value)
 
@@ -517,39 +531,25 @@ def verdict_to_obj(verdict) -> dict:
     }
 
 
-def _indented(value, indent: str) -> str:
-    """json.dumps(value, indent=2) of a value nested `indent` deep.
-
-    It covers the types verdict objects hold (dicts with string keys,
-    lists, strings, ints, bools, None) and leaves the rest to json.
-    """
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict) and value:
-        items = ",\n".join(f"{inner}{_quote(k)}: {_indented(v, inner)}" for k, v in value.items())
-        return f"{{\n{items}\n{indent}}}"
-    if isinstance(value, list) and value:
-        items = ",\n".join(inner + _indented(v, inner) for v in value)
-        return f"[\n{items}\n{indent}]"
-    return json.dumps(value)
-
-
 def write_report(out: TextIO, verdicts: Iterable) -> Iterator:
     """Write the verdicts as the report, one at a time, yielding each once
     it is written.  Drained, it has written json.dumps(list, indent=2) of
     their verdict_to_obj objects and a newline."""
+    heads: Dict[int, Tuple[object, str]] = {}  # by id(rule); the entry keeps the rule alive
+    events: Dict[Tuple[str, str, str], Tuple[str, str]] = {}
     sep = "[\n  "
     for verdict in verdicts:
-        out.write(sep + _indented(verdict_to_obj(verdict), "  "))
+        head = heads.get(id(verdict.rule))
+        if head is None:  # the rule's keys, `topology` to `kind`
+            text = json.dumps(verdict_to_obj(verdict), indent=2).replace("\n", "\n  ")
+            head = heads[id(verdict.rule)] = verdict.rule, text.split(',\n    "cause_event"')[0]
+        witness = "null" if verdict.witness is None else _event_text(events, verdict.witness, 2)
+        out.write(
+            f'{sep}{head[1]},\n    "cause_event": {_event_text(events, verdict.cause_event, 2)},\n'
+            f'    "window": [\n      {verdict.window[0]},\n      {verdict.window[1]}\n    ],\n'
+            f'    "outcome": {json.dumps(verdict.outcome.value)},\n    "witness": {witness},\n'
+            f'    "decided_at": {verdict.decided_at}\n  }}'
+        )
         sep = ",\n  "
         yield verdict
     out.write("[]\n" if sep == "[\n  " else "\n]\n")

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capstation.cli import cli_main
 from capstation.scenarios import nominal_script
@@ -554,3 +559,50 @@ def test_report_onto_the_trace_is_an_input_error(scenario_file, tmp_path, capsys
     assert code == 2
     assert "is the trace being read" in capsys.readouterr().err
     assert trace.read_bytes() == before
+
+
+_DEEP = "[" * 5000 + "\n"  # nested past the interpreter's recursion limit
+
+
+def _input_argv(where: str, path: str, report: str):
+    """The CLI call that reads `path` as a scenario, a fault file or a trace."""
+    nominal = str(SCENARIOS / "nominal.jsonl")
+    return {
+        "scenario": ["simulate", "--scenario", path, "--out", "-"],
+        "faults": ["simulate", "--scenario", nominal, "--faults", path, "--out", "-"],
+        "trace": ["monitor", "--trace", path, "--topology", "all", "--report", report],
+    }[where]
+
+
+@pytest.mark.parametrize("where", ["scenario", "faults", "trace"])
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, where):
+    deep, report = tmp_path / "deep.json", tmp_path / "report.json"
+    deep.write_text(_DEEP)
+    assert cli_main(_input_argv(where, str(deep), str(report))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " if where == "faults" else "error: line 1: ")
+    assert len(captured.err.splitlines()) == 1  # no traceback
+    assert not report.exists()
+
+
+_JSONISH = st.text(alphabet='[]{}",:-0123456789 \n\\aeHLPt', max_size=200).map(str.encode)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.one_of(st.binary(max_size=200), _JSONISH),
+    where=st.sampled_from(["scenario", "faults", "trace"]),
+)
+@example(data=_DEEP.encode(), where="scenario")
+@example(data=_DEEP.encode(), where="faults")
+@example(data=_DEEP.encode(), where="trace")
+def test_any_input_bytes_exit_0_1_or_2(data, where):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "input"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(_input_argv(where, str(path), str(pathlib.Path(tmp) / "report.json")))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

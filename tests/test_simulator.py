@@ -25,6 +25,7 @@ from capstation.simulator import (
     run_script,
 )
 from capstation.station import (
+    ACTUATORS,
     EJECT_AIR_PULSE,
     LOADER_DROPOFF,
     LOADER_DROPPED_OFF,
@@ -223,6 +224,16 @@ def test_determinism_byte_identical_traces(catalog):
         return buf.getvalue()
 
     assert serialized() == serialized()
+
+
+def test_fresh_actuator_ids_act_as_the_stations_own(catalog):
+    # a program may build its own ComponentId("Loader Pickup"); the simulator
+    # matches actuators by id, not by the station's objects
+    script = two_cycles_script()
+    fresh = tuple(Command(c.time, ComponentId(c.actuator.id), c.signal) for c in script)
+    assert {c.actuator.id for c in script} == {a.id for a in ACTUATORS}
+    assert not any(f.actuator is c.actuator for f, c in zip(fresh, script))
+    assert run_script(catalog, fresh, seed=3) == run_script(catalog, script, seed=3)
 
 
 def test_jittered_faulty_run_matches_its_golden_bytes(catalog, golden_dir):

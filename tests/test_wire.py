@@ -4,7 +4,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capstation.core.bemap import ComponentId
@@ -19,6 +19,7 @@ from capstation.errors import (
     UnknownTypeTagError,
     UnsupportedAnnotationError,
 )
+from capstation.monitor import CompiledRule, Outcome, RuleKind, Verdict
 from capstation.station import TopologyName, documented_edge
 from capstation.wire import (
     catalog_to_obj,
@@ -28,6 +29,8 @@ from capstation.wire import (
     read_faults,
     read_script,
     read_trace,
+    verdict_to_obj,
+    write_report,
     write_script,
     write_trace,
 )
@@ -226,13 +229,102 @@ def test_trace_errors_count_blank_lines(catalog, tmp_path, newline):
 
 def test_report_bytes_equal_one_indented_dump(catalog, faulty_trace):
     from capstation.monitor import check_trace
-    from capstation.wire import verdict_to_obj, write_report
 
     for trace in ([], faulty_trace):
         verdicts = list(check_trace(catalog, "all", trace))
         buf = io.StringIO()
         assert list(write_report(buf, verdicts)) == verdicts
         assert buf.getvalue() == json.dumps([verdict_to_obj(v) for v in verdicts], indent=2) + "\n"
+
+
+# -- the writers' templates against the reference encoders -------------------------
+
+# names that json must escape, and ones that spell the text a template is split at
+awkward_names = st.one_of(
+    st.text(alphabet='az "\\\x00\x1f\n\u00e9\u2603\U0001f600:,{}[]', min_size=1, max_size=8),
+    st.sampled_from(['"timepoint": 0', ',\n    "cause_event"', '\\"', "x\\"]),
+    st.text(min_size=1, max_size=8),
+)
+times = st.integers(-10**6, 10**6)
+
+
+@st.composite
+def event_pools(draw):
+    """Events at a given time over a few devices and states, so that they repeat."""
+    devices = draw(st.lists(st.builds(ComponentId, awkward_names), min_size=1, max_size=3))
+    levels = st.sampled_from([Signal.HIGH, Signal.LOW])
+    states = draw(st.lists(st.builds(DeviceState, awkward_names, levels), min_size=1, max_size=3))
+    return lambda t: st.builds(
+        PhysicalEvent, st.sampled_from(devices), st.just(DeviceKind.SENSOR), st.just(TimePoint(t)),
+        st.sampled_from(states),
+    )
+
+
+@st.composite
+def verdict_lists(draw):
+    event = draw(event_pools())
+    ids = st.builds(ComponentId, awkward_names)
+    specs = st.builds(DeviceState, awkward_names, st.sampled_from(list(Signal)))
+    rules = [
+        CompiledRule(
+            draw(st.integers(0, 1)), draw(awkward_names), draw(ids), draw(ids), draw(specs),
+            draw(specs), draw(times), draw(times), draw(st.booleans()),
+            draw(st.sampled_from(list(RuleKind))),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    verdicts = []
+    for _ in range(draw(st.integers(0, 5))):
+        rule = draw(st.sampled_from(rules))
+        outcomes = [o for o in Outcome if rule.inverse or o is not Outcome.VIOLATED_FORBIDDEN]
+        witness = draw(event(draw(times))) if draw(st.booleans()) else None
+        verdicts.append(Verdict(
+            rule, draw(event(draw(times))), draw(st.sampled_from(outcomes)), witness, draw(times),
+            (draw(times), draw(times)),
+        ))
+    return verdicts
+
+
+def _forbidden() -> Verdict:
+    state = DeviceState("Obstructed", Signal.HIGH)
+    rule = CompiledRule(0, "t", ComponentId("a"), ComponentId("b"), state, state, -5, 5, True,
+                        RuleKind.CONSTRAINT)
+    event = PhysicalEvent(ComponentId("a"), DeviceKind.SENSOR, TimePoint(0), state)
+    return Verdict(rule, event, Outcome.VIOLATED_FORBIDDEN, event, 0, (-5, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(verdict_lists())
+@example([])
+@example([_forbidden()])
+def test_report_template_equals_the_reference_dump(verdicts):
+    objs = [verdict_to_obj(v) for v in verdicts]
+    out, drawn = io.StringIO(), []
+
+    def source():
+        for verdict in verdicts:
+            drawn.append(verdict)
+            yield verdict
+
+    for k, verdict in enumerate(write_report(out, source())):
+        # verdict k is written when it is yielded, and verdict k + 1 not yet drawn
+        assert verdict is verdicts[k] and len(drawn) == k + 1
+        assert out.getvalue() == json.dumps(objs[: k + 1], indent=2)[: -len("\n]")]
+    assert out.getvalue() == json.dumps(objs, indent=2) + "\n"
+
+
+@st.composite
+def traces(draw):
+    event = draw(event_pools())
+    return [draw(event(t)) for t in sorted(draw(st.lists(times, max_size=8)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(traces())
+def test_trace_template_equals_the_reference_dump(events):
+    out = io.StringIO()
+    write_trace(out, events)
+    assert out.getvalue() == "".join(json.dumps(event_to_obj(e)) + "\n" for e in events)
 
 
 _SHAPE_FAULTS = {
