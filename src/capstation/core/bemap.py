@@ -11,7 +11,6 @@ from typing import Iterable, Optional, Tuple
 
 from ..errors import DuplicateKeyError
 from .geometry import Box3D
-from .terms import Xor
 
 
 @dataclass(frozen=True, order=True)
@@ -42,7 +41,7 @@ class ComponentValue:
     """Tagged scalar attached to a description key.
 
     The tag is derived from the payload type: string, integer, occupancy
-    box, exclusive-or of values (a variation set), signal mapping, or a
+    box, variation set (mutually exclusive positions), signal mapping, or a
     device state.  Exactly one payload is present by construction.
     """
 
@@ -62,10 +61,10 @@ class ComponentValue:
             return ValueKind.INTEGER
         if isinstance(v, Box3D):
             return ValueKind.BOX
-        if isinstance(v, Xor):
-            return ValueKind.VARIATIONS
         # device-layer payloads, matched structurally to keep this module
         # independent of the device metamodel
+        if hasattr(v, "positions"):
+            return ValueKind.VARIATIONS
         if hasattr(v, "high") and hasattr(v, "low"):
             return ValueKind.SIGNAL_MAP
         if hasattr(v, "name") and hasattr(v, "signal"):
@@ -96,15 +95,6 @@ class BeMapKV:
             if k == key:
                 return v
         return None
-
-    def __contains__(self, key: ComponentId) -> bool:
-        return self.get(key) is not None
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def keys(self) -> tuple:
-        return tuple(k for k, _ in self.entries)
 
 
 def build_bemap(entries: Iterable[Entry]) -> BeMapKV:

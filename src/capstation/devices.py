@@ -13,8 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .core.bemap import ComponentId, ComponentValue
-from .core.terms import Atom, Xor
+from .core.bemap import ComponentId
 from .core.timing import TimePoint
 from .errors import AbstractStateInEventError, DontCareInputError
 
@@ -134,9 +133,6 @@ class SpatialVariationSet:
             raise ValueError("a variation set needs at least two positions")
         if len(set(self.positions)) != len(self.positions):
             raise ValueError("positions must be pairwise distinct")
-
-    def to_xor(self) -> Xor:
-        return Xor(tuple(Atom(ComponentValue(p)) for p in self.positions))
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,11 @@ def _color(state: Optional[DeviceState]) -> str:
 
 def edge_label(annotation) -> str:
     if isinstance(annotation, TemporalCorrelation):
-        delta = annotation.duration.value_at_zero()
+        delta = annotation.duration.offset_ms
         return f"{annotation.cause.name} →[Δ={delta}]→ {annotation.effect.name}"
     if isinstance(annotation, TemporalConstraint):
-        lo = annotation.range.minimum.value_at_zero()
-        hi = annotation.range.maximum.value_at_zero()
+        lo = annotation.range.minimum.offset_ms
+        hi = annotation.range.maximum.offset_ms
         head = "forbids" if annotation.inverse else ""
         label = f"{annotation.cause.name} →[{lo},{hi}]→ {annotation.effect.name}"
         return f"{label} ({head})" if head else label

@@ -20,14 +20,6 @@ class DuplicateKeyError(ModelError):
         self.key = key
 
 
-class UnboundVariableError(ModelError):
-    """A symbolic scalar was evaluated without a binding for a variable."""
-
-    def __init__(self, ref):
-        super().__init__(f"unbound variable: {ref!r}")
-        self.ref = ref
-
-
 class NegativeExtentError(ModelError):
     """A box was anchored with a negative width, depth or height."""
 

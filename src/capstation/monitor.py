@@ -121,7 +121,7 @@ def compile_edge(
         if not isinstance(ann.cause, DeviceState) or not isinstance(ann.effect, DeviceState):
             raise UnsupportedAnnotationError("rule states must be device states")
         scale = 1000 if cfg.sequence_unit is SequenceUnit.SECONDS else 1
-        delta = ann.duration.value_at_zero() * scale
+        delta = ann.duration.offset_ms * scale
         tol = cfg.correlation_tolerance_ms
         return CompiledRule(
             index, topology, edge.source, edge.target, ann.cause, ann.effect,
@@ -132,7 +132,7 @@ def compile_edge(
             raise UnsupportedAnnotationError("rule states must be device states")
         return CompiledRule(
             index, topology, edge.source, edge.target, ann.cause, ann.effect,
-            ann.range.minimum.value_at_zero(), ann.range.maximum.value_at_zero(),
+            ann.range.minimum.offset_ms, ann.range.maximum.offset_ms,
             ann.inverse, RuleKind.CONSTRAINT,
         )
     raise UnsupportedAnnotationError(f"unsupported annotation: {ann!r}")

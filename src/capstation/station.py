@@ -372,7 +372,7 @@ def build_catalog() -> StationCatalog:
             (KEY_GPIO, pin),
             (KEY_SIGNAL_MAPPING, mapping),
             (KEY_PART_ASSOCIATION, None if part is None else part.id),
-            (KEY_SPATIAL_VARIATIONS, None if variations is None else variations.to_xor()),
+            (KEY_SPATIAL_VARIATIONS, variations),
             (KEY_SPATIAL_LOCATION, None if anchor is None else Box3D.from_anchor(*anchor)),
         )
         descriptions[device] = BeMapKV(

@@ -24,8 +24,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 from .core.bemap import BeMapKV, ComponentId, ComponentValue, ValueKind
 from .core.graph import AnnotatedGraph, EdgeAnn, TemporalConstraint, TemporalCorrelation
-from .core.terms import Atom
-from .core.timing import Addition, Constant, TimeDuration, TimeDurationRange, TimePoint, Variable
+from .core.timing import TimeDuration, TimeDurationRange, TimePoint
 from .devices import (
     DeviceKind,
     DeviceState,
@@ -138,6 +137,10 @@ def state_to_obj(state: DeviceState) -> dict:
     return out
 
 
+# a concrete signal by its wire name: one lookup both checks and converts
+_SIGNALS = {"High": Signal.HIGH, "Low": Signal.LOW}
+
+
 def state_from_obj(value, path: str) -> DeviceState:
     """A concrete event state; unlike a state specification it needs a signal."""
     obj = _obj(value, path)
@@ -146,33 +149,27 @@ def state_from_obj(value, path: str) -> DeviceState:
         raise UnknownTypeTagError(tag, path)
     _check_keys(obj, path, ["type", "signal"])
     level = obj["signal"]
-    if level not in (Signal.HIGH.value, Signal.LOW.value):
+    signal = _SIGNALS.get(level) if isinstance(level, str) else None
+    if signal is None:
         raise SchemaViolationError(path, f"signal must be High or Low, got {level!r}")
-    return DeviceState(tag, Signal(level))
+    return DeviceState(tag, signal)
 
 
-# -- symbolic scalars and durations --------------------------------------------
-
-
-def scalar_to_obj(expr) -> dict:
-    if isinstance(expr, Constant):
-        return {"type": "SS Constant", "expression": expr.value}
-    if isinstance(expr, Variable):
-        if not isinstance(expr.ref, DeviceState):
-            raise UnsupportedAnnotationError(
-                f"only state-specification variables serialize, got {expr.ref!r}"
-            )
-        return {"type": "SS Variable", "expression": state_to_obj(expr.ref)}
-    if isinstance(expr, Addition):
-        return {"type": "SS Addition", "expression": [scalar_to_obj(op) for op in expr.operands]}
-    raise UnsupportedAnnotationError(f"not a symbolic scalar: {expr!r}")
+# -- durations ------------------------------------------------------------------
 
 
 def duration_to_obj(duration: TimeDuration) -> dict:
+    """The BeSpaceD form of an offset: from the anchor to anchor + offset."""
+    if not isinstance(duration.anchor, DeviceState):
+        raise UnsupportedAnnotationError(
+            f"only state-specification variables serialize, got {duration.anchor!r}"
+        )
+    anchor = {"type": "SS Variable", "expression": state_to_obj(duration.anchor)}
+    offset = {"type": "SS Constant", "expression": duration.offset_ms}
     return {
         "type": "TimeDuration",
-        "start": scalar_to_obj(duration.start),
-        "scalar": scalar_to_obj(duration.scalar),
+        "start": anchor,
+        "scalar": {"type": "SS Addition", "expression": [anchor, offset]},
     }
 
 
@@ -390,7 +387,9 @@ def read_script(source: Union[str, TextIO]) -> Tuple[Command, ...]:
         path = f"line {number}"
         obj = _obj(value, path)
         _check_keys(obj, path, ["time_ms", "actuator", "signal"])
-        if obj["signal"] not in (Signal.HIGH.value, Signal.LOW.value):
+        level = obj["signal"]
+        signal = _SIGNALS.get(level) if isinstance(level, str) else None
+        if signal is None:
             raise SchemaViolationError(f"{path}.signal", "signal must be High or Low")
         time = _int(obj["time_ms"], f"{path}.time_ms")
         if commands and time < commands[-1].time:
@@ -402,7 +401,7 @@ def read_script(source: Union[str, TextIO]) -> Tuple[Command, ...]:
         if actuator is None:
             _component(name, f"{path}.actuator")  # a non-string or empty id has its own message
             raise SchemaViolationError(f"{path}.actuator", f"unknown actuator: {name}")
-        commands.append(Command(time, actuator, Signal(obj["signal"])))
+        commands.append(Command(time, actuator, signal))
     return tuple(commands)
 
 
@@ -476,12 +475,7 @@ def component_value_to_obj(value: ComponentValue) -> dict:
     if kind is ValueKind.SIGNAL_MAP:
         return {"kind": kind.value, "value": _signal_mapping_to_obj(value.value)}
     if kind is ValueKind.VARIATIONS:
-        positions = []
-        for term in value.value.terms:
-            if not isinstance(term, Atom) or not isinstance(term.payload, ComponentValue):
-                raise UnsupportedAnnotationError("variation members must be wrapped values")
-            positions.append(term.payload.value)
-        return {"kind": kind.value, "value": positions}
+        return {"kind": kind.value, "value": list(value.value.positions)}
     if kind is ValueKind.STATE:
         return {"kind": kind.value, "value": state_to_obj(value.value)}
     raise UnsupportedAnnotationError(f"unsupported value kind: {kind}")

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from capstation.core.bemap import BeMapKV, ComponentId, ComponentValue, ValueKind, build_bemap
+from capstation.devices import SpatialVariationSet
 from capstation.errors import DuplicateKeyError
 
 
@@ -15,7 +16,7 @@ def kv(key, value):
 def test_lookup_returns_the_stored_value():
     contact = build_bemap([kv("Name", "Elon Musk"), kv("Address", "Mars")])
     assert contact.get(ComponentId("Address")) == ComponentValue("Mars")
-    assert len(contact) == 2
+    assert len(contact.entries) == 2
 
 
 def test_lookup_on_empty_map_is_absent():
@@ -41,6 +42,8 @@ def test_component_id_must_be_non_empty():
 def test_value_kind_tags():
     assert ComponentValue("x").kind is ValueKind.STRING
     assert ComponentValue(5).kind is ValueKind.INTEGER
+    variations = SpatialVariationSet("x", ("a", "b"))
+    assert ComponentValue(variations).kind is ValueKind.VARIATIONS
     with pytest.raises(TypeError):
         ComponentValue(True)
     with pytest.raises(TypeError):
@@ -60,4 +63,4 @@ def test_build_then_lookup_round_trips_every_entry(entries):
     mapping = build_bemap(entries)
     for key, value in entries:
         assert mapping.get(key) == value
-    assert mapping.keys() == tuple(k for k, _ in entries)
+    assert mapping.entries == tuple(entries)

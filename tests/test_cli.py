@@ -139,6 +139,14 @@ def test_dot_without_topology_is_a_usage_error(capsys):
             '{"time_ms": 0, "actuator": "Stack Empty", "signal": "High"}\n',
             "line 1.actuator: unknown actuator: Stack Empty",
         ),
+        (
+            '{"time_ms": 0, "actuator": "Loader Pickup", "signal": ["High"]}\n',
+            "line 1.signal: signal must be High or Low",
+        ),
+        (
+            '{"time_ms": 0, "actuator": "Loader Pickup", "signal": {}}\n',
+            "line 1.signal: signal must be High or Low",
+        ),
     ],
     ids=[
         "bad-json",
@@ -147,6 +155,8 @@ def test_dot_without_topology_is_a_usage_error(capsys):
         "time-goes-back",
         "unknown-actuator",
         "sensor-as-actuator",
+        "list-signal",
+        "object-signal",
     ],
 )
 def test_malformed_scenario_is_an_input_error(tmp_path, capsys, text, message):
@@ -211,10 +221,20 @@ _GOOD_TRACE_LINE = (
             '"state": {"type": "Active", "signal": "High"}}\n',
             "line 2.state: Loader cannot be Active/High; it is a part and has no states",
         ),
+        (
+            '{"type": "PhysicalEvent", "component": "Stack Empty", "timepoint": 5, '
+            '"state": {"type": "Obstructed", "signal": ["High"]}}\n',
+            "line 2.state: signal must be High or Low, got ['High']",
+        ),
+        (
+            '{"type": "PhysicalEvent", "component": "Stack Empty", "timepoint": 5, '
+            '"state": {"type": "Obstructed", "signal": {}}}\n',
+            "line 2.state: signal must be High or Low, got {}",
+        ),
     ],
     ids=[
         "unknown-event-type", "unknown-device", "unknown-state-type", "unmapped-state",
-        "part-state",
+        "part-state", "list-signal", "object-signal",
     ],
 )
 def test_malformed_trace_is_a_located_input_error(tmp_path, capsys, line, message):

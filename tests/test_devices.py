@@ -93,8 +93,7 @@ def test_variation_sets_need_two_distinct_positions():
         SpatialVariationSet("x", ("only",))
     with pytest.raises(ValueError):
         SpatialVariationSet("x", ("a", "a"))
-    xor = SpatialVariationSet("x", ("a", "b")).to_xor()
-    assert len(xor.terms) == 2
+    assert SpatialVariationSet("x", ["a", "b"]).positions == ("a", "b")
 
 
 @given(

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capstation.core.bemap import ComponentId
 from capstation.core.timing import TimePoint
@@ -13,8 +16,10 @@ from capstation.devices import (
     OBSTRUCTED_HIGH,
     PASSIVE_LOW,
     PhysicalEvent,
+    Signal,
     UNOBSTRUCTED_LOW,
     abstract_state,
+    state_matches,
 )
 from capstation.errors import OutOfOrderEventError, UnknownDeviceError
 from capstation.monitor import (
@@ -27,6 +32,7 @@ from capstation.monitor import (
     StreamMonitor,
     check_spatial,
     check_trace,
+    compile_topology,
     violations,
 )
 from capstation.station import (
@@ -34,8 +40,10 @@ from capstation.station import (
     STACK_EJECTOR_EXTEND,
     STACK_EJECTOR_EXTENDED,
     STACK_EJECTOR_RETRACTED,
+    SIGNAL_MAPPINGS,
     TopologyName,
 )
+from capstation.wire import read_trace, write_trace
 
 EXT = STACK_EJECTOR_EXTEND
 RET = STACK_EJECTOR_RETRACTED
@@ -464,3 +472,38 @@ def test_parallel_monitors_over_one_immutable_trace(catalog, nominal_trace):
         t.join()
     baseline = list(check_trace(catalog, "all", nominal_trace))
     assert all(results[i] == baseline for i in range(4))
+
+
+_station_events = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(SIGNAL_MAPPINGS)),
+        st.sampled_from([Signal.HIGH, Signal.LOW]),
+        st.integers(0, 1500),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _station_events,
+    st.sampled_from(list(Semantics)),
+    st.integers(0, 50),
+    st.sampled_from(list(SequenceUnit)),
+)
+def test_monitor_decides_every_opening_of_a_valid_trace(catalog, draws, semantics, tol, unit):
+    events, t = [], 0
+    for device, signal, gap in draws:
+        t += gap
+        state = SIGNAL_MAPPINGS[device](signal)
+        events.append(PhysicalEvent(device, catalog.devices[device], TimePoint(t), state))
+    text = io.StringIO()
+    write_trace(text, events)
+    trace = list(read_trace(io.StringIO(text.getvalue()), kinds=catalog.devices))
+    cfg = MonitorConfig(correlation_tolerance_ms=tol, sequence_unit=unit, semantics=semantics)
+    rules = [r for name in TopologyName for r in compile_topology(catalog.topologies[name], cfg)]
+    openings = sum(
+        1 for e in trace for r in rules
+        if r.source == e.device and state_matches(r.cause, e.state)
+    )
+    assert len(list(check_trace(catalog, "all", trace, cfg))) == openings

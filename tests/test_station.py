@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 
 from capstation.core.bemap import ComponentId
 from capstation.core.geometry import Box3D
 from capstation.core.graph import TemporalConstraint, TemporalCorrelation
-from capstation.core.terms import Atom, Xor
 from capstation import station
-from capstation.devices import ACTIVE, DeviceKind, GRIPPED, HIGH_SOLENOID_MAPPING, OBSTRUCTED, Signal
+from capstation.devices import (
+    ACTIVE, DeviceKind, GRIPPED, HIGH_SOLENOID_MAPPING, OBSTRUCTED, Signal, SpatialVariationSet,
+)
+from capstation.dot import edge_label
+from capstation.monitor import MonitorConfig, compile_edge
 from capstation.station import (
     ACTUATORS,
     CAP_STACK_TUBE,
@@ -45,6 +49,7 @@ from capstation.station import (
     documented_edge,
     sensor_boxes,
 )
+from capstation.wire import edge_to_obj
 
 EXPECTED_ACTUATORS = {
     STACK_EJECTOR_EXTEND, LOADER_PICKUP, LOADER_DROPOFF, VACUUM_GRIP, EJECT_AIR_PULSE,
@@ -81,7 +86,7 @@ def test_actuators_and_sensors_carry_wiring_metadata(catalog):
 def test_movable_parts_declare_variations(catalog):
     for part in (STACK_EJECTOR, LOADER, VACUUM_GRIPPER):
         variations = catalog.description(part).get(KEY_SPATIAL_VARIATIONS)
-        assert isinstance(variations.value, Xor)
+        assert isinstance(variations.value, SpatialVariationSet)
     # the tube is fixed: located, not movable
     tube = catalog.description(CAP_STACK_TUBE)
     assert tube.get(KEY_SPATIAL_VARIATIONS) is None
@@ -102,10 +107,10 @@ def test_vacuum_grip_description_details(catalog):
 
 
 def test_stack_ejector_positions_are_mutually_exclusive(catalog):
-    xor = catalog.description(STACK_EJECTOR).get(KEY_SPATIAL_VARIATIONS).value
-    names = {term.payload.value for term in xor.terms}
-    assert names == {"Stack Ejector Retracted Position", "Stack Ejector Extended Position"}
-    assert all(isinstance(t, Atom) for t in xor.terms)
+    variations = catalog.description(STACK_EJECTOR).get(KEY_SPATIAL_VARIATIONS).value
+    assert variations.positions == (
+        "Stack Ejector Retracted Position", "Stack Ejector Extended Position"
+    )
 
 
 def test_measurement_table_reference_constants():
@@ -190,7 +195,7 @@ def test_process_sequence_documented_edge(catalog):
     ann = edge.annotation
     assert ann.cause.name == "Obstructed"
     assert ann.effect.name == "Obstructed"
-    assert ann.duration.value_at_zero() == 3
+    assert ann.duration.offset_ms == 3
 
 
 def test_process_sequence_is_acyclic(catalog):
@@ -226,8 +231,8 @@ def test_causality_documented_edge_and_node_kinds(catalog):
     assert (documented.source, documented.target) == (STACK_EJECTOR_EXTEND, STACK_EJECTOR_RETRACTED)
     assert ann.cause.name == "Active"
     assert ann.effect.name == "Unobstructed"
-    assert ann.range.minimum.value_at_zero() == 200
-    assert ann.range.maximum.value_at_zero() == 300
+    assert ann.range.minimum.offset_ms == 200
+    assert ann.range.maximum.offset_ms == 300
 
 
 def test_causality_has_the_symmetric_retraction_edge(catalog):
@@ -239,7 +244,7 @@ def test_causality_has_the_symmetric_retraction_edge(catalog):
     ]
     assert len(hits) == 1
     ann = hits[0].annotation
-    assert (ann.range.minimum.value_at_zero(), ann.range.maximum.value_at_zero()) == (200, 300)
+    assert (ann.range.minimum.offset_ms, ann.range.maximum.offset_ms) == (200, 300)
 
 
 def test_avoidance_documented_edge_and_node_kinds(catalog):
@@ -250,8 +255,8 @@ def test_avoidance_documented_edge_and_node_kinds(catalog):
     assert (edge.source, edge.target) == (STACK_EJECTOR_EXTEND, LOADER_PICKUP)
     assert ann.cause.name == "Active"
     assert ann.effect.name == "Passive"
-    assert ann.range.minimum.value_at_zero() == -500
-    assert ann.range.maximum.value_at_zero() == 1000
+    assert ann.range.minimum.offset_ms == -500
+    assert ann.range.maximum.offset_ms == 1000
 
 
 def test_synthetic_edges_are_flagged(catalog):
@@ -303,3 +308,30 @@ def test_an_edge_row_naming_an_unmapped_state_fails_the_build(
         f"edge table row Causality: {source} {cause.name} -> {target} {effect.name}: {unmapped}"
     )
 
+
+
+def _constants(obj):
+    """Every SS Constant expression in a written object, in order."""
+    if isinstance(obj, dict):
+        if obj.get("type") == "SS Constant":
+            return [obj["expression"]]
+        return [c for value in obj.values() for c in _constants(value)]
+    if isinstance(obj, list):
+        return [c for value in obj for c in _constants(value)]
+    return []
+
+
+@pytest.mark.parametrize("row", range(len(station._EDGE_TABLE)))
+def test_monitor_dump_and_dot_read_the_same_stored_number(catalog, row):
+    topology, *_, timing, _ = station._EDGE_TABLE[row]
+    position = sum(1 for r in station._EDGE_TABLE[:row] if r[0] is topology)
+    edge = catalog.topologies[topology].edges[position]
+    rule = compile_edge(edge, MonitorConfig())
+    written = _constants(edge_to_obj(edge))
+    label = [int(n) for n in re.findall(r"-?\d+", edge_label(edge.annotation))]
+    if isinstance(timing, int):
+        # the correlation's delay is in seconds under the default sequence unit
+        assert (rule.min_ms, rule.max_ms) == (timing * 1000, timing * 1000)
+        assert written == label == [timing]
+    else:
+        assert [rule.min_ms, rule.max_ms] == written == label == list(timing)

@@ -4,66 +4,80 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from capstation.core.timing import (
-    Addition,
-    Constant,
-    TimeDuration,
-    TimeDurationRange,
-    TimePoint,
-    Variable,
-    evaluate,
-    relative_duration,
-    variables,
-)
+from capstation.core.timing import TimeDurationRange, TimePoint, relative_duration
 from capstation.devices import ACTIVE, OBSTRUCTED
-from capstation.errors import UnboundVariableError
+from capstation.wire import duration_to_obj
+
+
+def _written_value(obj, binding):
+    """Value of a written BeSpaceD scalar, each state variable bound by name."""
+    if obj["type"] == "SS Constant":
+        return obj["expression"]
+    if obj["type"] == "SS Variable":
+        return binding[obj["expression"]["type"]]
+    assert obj["type"] == "SS Addition"
+    return sum(_written_value(op, binding) for op in obj["expression"])
+
+
+def _written_variables(obj):
+    if obj["type"] == "SS Variable":
+        return [obj["expression"]]
+    if obj["type"] == "SS Addition":
+        return [v for op in obj["expression"] for v in _written_variables(op)]
+    return []
+
+
+def _duration_value(duration, anchor_time):
+    """scalar - start of the written duration, its anchor bound to `anchor_time`."""
+    obj = duration_to_obj(duration)
+    binding = {duration.anchor.name: anchor_time}
+    return _written_value(obj["scalar"], binding) - _written_value(obj["start"], binding)
 
 
 def test_addition_of_variable_and_constant():
-    expr = Addition((Variable(ACTIVE), Constant(200)))
-    assert evaluate(expr, {ACTIVE: 1000}) == 1200
-
-
-def test_constant_evaluates_to_itself():
-    assert evaluate(Constant(0), {}) == 0
-
-
-def test_negative_offsets_evaluate():
-    expr = Addition((Variable(ACTIVE), Constant(-500)))
-    assert evaluate(expr, {ACTIVE: 1000}) == 500
-
-
-def test_unbound_variable_raises():
-    with pytest.raises(UnboundVariableError) as err:
-        evaluate(Variable(ACTIVE), {})
-    assert err.value.ref == ACTIVE
+    scalar = duration_to_obj(relative_duration(ACTIVE, 200))["scalar"]
+    assert _written_value(scalar, {"Active": 1000}) == 1200
 
 
 def test_addition_needs_two_operands():
-    with pytest.raises(ValueError):
-        Addition((Constant(1),))
+    # the written addition is always the anchor's variable plus the offset
+    scalar = duration_to_obj(relative_duration(ACTIVE, 200))["scalar"]
+    assert [op["type"] for op in scalar["expression"]] == ["SS Variable", "SS Constant"]
+
+
+def test_negative_offsets_evaluate():
+    scalar = duration_to_obj(relative_duration(ACTIVE, -500))["scalar"]
+    assert _written_value(scalar, {"Active": 1000}) == 500
 
 
 @pytest.mark.parametrize("anchor_time", [0, 5, 1000, -300])
 def test_duration_value_is_translation_invariant(anchor_time):
-    d = relative_duration(OBSTRUCTED, 3)
-    assert d.value({OBSTRUCTED: anchor_time}) == 3
+    assert _duration_value(relative_duration(OBSTRUCTED, 3), anchor_time) == 3
 
 
 def test_identical_expressions_have_zero_duration():
-    c = Constant(7)
-    assert TimeDuration(start=c, scalar=c).value({}) == 0
+    d = relative_duration(ACTIVE, 0)
+    assert d.offset_ms == 0
+    assert _duration_value(d, 7) == 0
 
 
 def test_documented_window_offsets():
-    assert relative_duration(ACTIVE, 300).value({ACTIVE: 42}) == 300
-    assert relative_duration(ACTIVE, -500).value({ACTIVE: 42}) == -500
+    assert relative_duration(ACTIVE, 300).offset_ms == 300
+    assert relative_duration(ACTIVE, -500).offset_ms == -500
+
+
+def test_offsets_are_integers():
+    for bad in (1.5, True, "3"):
+        with pytest.raises(TypeError):
+            relative_duration(ACTIVE, bad)
 
 
 def test_variables_collects_references():
-    d = relative_duration(ACTIVE, 10)
-    assert d.variables() == {ACTIVE}
-    assert variables(Constant(3)) == frozenset()
+    # start and scalar reference the one anchor, so the value needs no binding
+    obj = duration_to_obj(relative_duration(ACTIVE, 10))
+    assert _written_variables(obj["start"]) == _written_variables(obj["scalar"]) == [
+        {"type": "Active"}
+    ]
 
 
 def test_duration_range_orders_min_max():
@@ -80,34 +94,7 @@ def test_timepoint_ordering_and_integer_type():
         TimePoint(1.5)
 
 
-scalars = st.deferred(
-    lambda: st.one_of(
-        st.builds(Constant, st.integers(-10_000, 10_000)),
-        st.sampled_from([Variable(ACTIVE), Variable(OBSTRUCTED)]),
-        st.builds(Addition, st.lists(scalars, min_size=2, max_size=4).map(tuple)),
-    )
-)
-
-
-def _naive_eval(expr, binding):
-    # independent recursion used as an oracle for the sum semantics
-    if isinstance(expr, Constant):
-        return expr.value
-    if isinstance(expr, Variable):
-        return binding[expr.ref]
-    total = 0
-    for op in expr.operands:
-        total += _naive_eval(op, binding)
-    return total
-
-
-@given(scalars, st.integers(-5000, 5000), st.integers(-5000, 5000))
-def test_evaluate_matches_naive_recursion(expr, a, b):
-    binding = {ACTIVE: a, OBSTRUCTED: b}
-    assert evaluate(expr, binding) == _naive_eval(expr, binding)
-
-
 @given(st.integers(-2000, 2000), st.integers(-5000, 5000), st.integers(-5000, 5000))
 def test_shared_variable_duration_ignores_binding_shift(offset, base, shift):
     d = relative_duration(ACTIVE, offset)
-    assert d.value({ACTIVE: base}) == d.value({ACTIVE: base + shift}) == offset
+    assert _duration_value(d, base) == _duration_value(d, base + shift) == offset

@@ -23,6 +23,7 @@ from capstation.monitor import CompiledRule, Outcome, RuleKind, Verdict
 from capstation.station import TopologyName, documented_edge
 from capstation.wire import (
     catalog_to_obj,
+    duration_to_obj,
     edge_to_obj,
     event_from_obj,
     event_to_obj,
@@ -90,6 +91,11 @@ def test_missing_keys_report_their_path(catalog):
     with pytest.raises(SchemaViolationError) as err:
         list(read_trace(io.StringIO(text), kinds=catalog.devices))
     assert str(err.value) == "line 2: missing key 'state'"
+
+
+def test_a_duration_anchored_at_a_non_state_does_not_serialize():
+    with pytest.raises(UnsupportedAnnotationError):
+        duration_to_obj(relative_duration("cause time", 5))
 
 
 def test_unannotated_edges_do_not_serialize():
