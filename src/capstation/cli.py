@@ -152,7 +152,7 @@ def _cmd_monitor(args) -> int:
     cfg = MonitorConfig(
         correlation_tolerance_ms=args.tolerance_ms,
         sequence_unit=SequenceUnit(args.sequence_unit),
-        semantics=Semantics.EVENT_OCCURRENCE if args.semantics == "event" else Semantics.STATE_HOLDS,
+        semantics=Semantics(args.semantics),
     )
     topology = "all" if args.topology == "all" else _TOPOLOGY_FLAGS[args.topology]
     events = 0

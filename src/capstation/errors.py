@@ -32,14 +32,6 @@ class AbstractStateInEventError(ModelError):
     """A live event was constructed with a don't-care (abstract) state."""
 
 
-class MissingAnnotationError(ModelError):
-    """A topology edge that requires an annotation has none."""
-
-    def __init__(self, edge):
-        super().__init__(f"edge without annotation: {edge}")
-        self.edge = edge
-
-
 class UnsupportedAnnotationError(ModelError):
     """An edge annotation is of a type this operation cannot handle."""
 

@@ -4,8 +4,8 @@ Each topology edge compiles to a rule: when a cause state-change occurs on
 the source device at time tc, the effect state-change must occur on the
 target device within the closed window [tc+min, tc+max] (or, for inverse
 rules, must not).  Windows may start before the cause (negative minimum);
-the events of each rule target, retained back to the largest lookback,
-serve them.
+the retained events of the targets of such rules, kept back to the
+largest lookback, serve them.
 
 Each semantics is one step function, step(ob, event, t), which returns the
 (outcome, witness) deciding an open obligation, or None while it stays open.
@@ -51,15 +51,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .core.bemap import ComponentId
-from .core.geometry import Box3D, intersection_volume
+from .core.geometry import intersection_volume
 from .core.graph import AnnotatedGraph, EdgeAnn, TemporalConstraint, TemporalCorrelation
 from .devices import DeviceState, PhysicalEvent, state_matches
-from .errors import (
-    MissingAnnotationError,
-    OutOfOrderEventError,
-    UnknownDeviceError,
-    UnsupportedAnnotationError,
-)
+from .errors import OutOfOrderEventError, UnknownDeviceError, UnsupportedAnnotationError
 from .station import StationCatalog, TopologyName
 
 
@@ -115,11 +110,11 @@ def compile_edge(
     edge: EdgeAnn, cfg: MonitorConfig, topology: str = "topology", index: int = 0
 ) -> CompiledRule:
     ann = edge.annotation
-    if ann is None:
-        raise MissingAnnotationError(edge)
+    if not isinstance(ann, (TemporalCorrelation, TemporalConstraint)):
+        raise UnsupportedAnnotationError(f"unsupported annotation: {ann!r}")
+    if not isinstance(ann.cause, DeviceState) or not isinstance(ann.effect, DeviceState):
+        raise UnsupportedAnnotationError("rule states must be device states")
     if isinstance(ann, TemporalCorrelation):
-        if not isinstance(ann.cause, DeviceState) or not isinstance(ann.effect, DeviceState):
-            raise UnsupportedAnnotationError("rule states must be device states")
         scale = 1000 if cfg.sequence_unit is SequenceUnit.SECONDS else 1
         delta = ann.duration.offset_ms * scale
         tol = cfg.correlation_tolerance_ms
@@ -127,15 +122,11 @@ def compile_edge(
             index, topology, edge.source, edge.target, ann.cause, ann.effect,
             delta - tol, delta + tol, False, RuleKind.CORRELATION,
         )
-    if isinstance(ann, TemporalConstraint):
-        if not isinstance(ann.cause, DeviceState) or not isinstance(ann.effect, DeviceState):
-            raise UnsupportedAnnotationError("rule states must be device states")
-        return CompiledRule(
-            index, topology, edge.source, edge.target, ann.cause, ann.effect,
-            ann.range.minimum.offset_ms, ann.range.maximum.offset_ms,
-            ann.inverse, RuleKind.CONSTRAINT,
-        )
-    raise UnsupportedAnnotationError(f"unsupported annotation: {ann!r}")
+    return CompiledRule(
+        index, topology, edge.source, edge.target, ann.cause, ann.effect,
+        ann.range.minimum.offset_ms, ann.range.maximum.offset_ms,
+        ann.inverse, RuleKind.CONSTRAINT,
+    )
 
 
 def compile_topology(
@@ -282,11 +273,12 @@ class StreamMonitor:
         # decided obligations are dropped when popped
         self._wakes: List[Tuple[int, int, _Obligation]] = []
         self._tie = itertools.count()
-        # retained events of each rule target, kept only if some rule looks back
-        looks_back = self._step is _step_state or self.horizon > 0
-        self._history: Dict[str, deque] = (
-            {r.target.id: deque() for r in rules} if looks_back else {}
-        )
+        # retained events of each rule target that opening steps through:
+        # in state holds every target's, in event occurrence those of
+        # targets of a rule with a negative minimum
+        self._history: Dict[str, deque] = {
+            r.target.id: deque() for r in rules if self._step is _step_state or r.min_ms < 0
+        }
         self._pruned_last: Dict[str, PhysicalEvent] = {}
 
     def _decide(
@@ -484,12 +476,7 @@ def check_spatial(
     catalog: StationCatalog, devices: Optional[Iterable[ComponentId]] = None
 ) -> SpatialReport:
     """Pairwise overlap of the located devices, or of `devices` (symmetric pairs once)."""
-    boxes: Dict[ComponentId, Box3D] = {}
-    pool = list(devices) if devices is not None else list(catalog.devices)
-    for device in pool:
-        box = catalog.box(device)
-        if box is not None:
-            boxes[device] = box
+    boxes = catalog.boxes(catalog.devices if devices is None else devices)
     pairs = []
     for a, b in itertools.combinations(boxes, 2):
         shared = intersection_volume(boxes[a], boxes[b])

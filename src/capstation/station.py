@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 from .core.bemap import BeMapKV, ComponentId, ComponentValue
 from .core.geometry import Box3D
@@ -335,9 +335,14 @@ class StationCatalog:
     def sensors(self) -> Tuple[ComponentId, ...]:
         return self.of_kind(DeviceKind.SENSOR)
 
-    def box(self, device: ComponentId) -> Optional[Box3D]:
-        value = self.description(device).get(KEY_SPATIAL_LOCATION)
-        return None if value is None else value.value
+    def boxes(self, devices: Iterable[ComponentId]) -> Dict[ComponentId, Box3D]:
+        """The box of each of `devices` that declares a location, in their order."""
+        out: Dict[ComponentId, Box3D] = {}
+        for device in devices:
+            value = self.description(device).get(KEY_SPATIAL_LOCATION)
+            if value is not None:
+                out[device] = value.value
+        return out
 
     def is_synthetic_edge(self, topology: TopologyName, edge: EdgeAnn) -> bool:
         return _edge_key(topology, edge) in self.synthetic_edges
@@ -417,9 +422,4 @@ def sensor_boxes(catalog: StationCatalog) -> Dict[ComponentId, Box3D]:
     sensing windows mounted on them, so they are excluded here and handled
     by the full spatial report instead.
     """
-    out: Dict[ComponentId, Box3D] = {}
-    for device in catalog.sensors:
-        box = catalog.box(device)
-        if box is not None:
-            out[device] = box
-    return out
+    return catalog.boxes(catalog.sensors)

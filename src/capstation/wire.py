@@ -185,28 +185,26 @@ def duration_range_to_obj(window: TimeDurationRange) -> dict:
 
 
 def annotation_to_obj(annotation) -> dict:
+    if not isinstance(annotation, (TemporalCorrelation, TemporalConstraint)):
+        raise UnsupportedAnnotationError(f"unsupported annotation: {annotation!r}")
+    if not all(isinstance(s, DeviceState) for s in (annotation.cause, annotation.effect)):
+        raise UnsupportedAnnotationError("annotation states must be device states")
     if isinstance(annotation, TemporalCorrelation):
-        if not isinstance(annotation.cause, DeviceState):
-            raise UnsupportedAnnotationError("annotation states must be device states")
         return {
             "type": "FestoStateCorrelation",
             "cause": state_to_obj(annotation.cause),
             "duration": duration_to_obj(annotation.duration),
             "effect": state_to_obj(annotation.effect),
         }
-    if isinstance(annotation, TemporalConstraint):
-        if not isinstance(annotation.cause, DeviceState):
-            raise UnsupportedAnnotationError("annotation states must be device states")
-        out = {
-            "type": "FestoStateConstraint",
-            "cause": state_to_obj(annotation.cause),
-            "durationRange": duration_range_to_obj(annotation.range),
-            "effect": state_to_obj(annotation.effect),
-        }
-        if annotation.inverse:
-            out["inverse"] = True
-        return out
-    raise UnsupportedAnnotationError(f"unsupported annotation: {annotation!r}")
+    out = {
+        "type": "FestoStateConstraint",
+        "cause": state_to_obj(annotation.cause),
+        "durationRange": duration_range_to_obj(annotation.range),
+        "effect": state_to_obj(annotation.effect),
+    }
+    if annotation.inverse:
+        out["inverse"] = True
+    return out
 
 
 def _component_to_obj(component: ComponentId) -> dict:
@@ -214,8 +212,6 @@ def _component_to_obj(component: ComponentId) -> dict:
 
 
 def edge_to_obj(edge: EdgeAnn) -> dict:
-    if edge.annotation is None:
-        raise UnsupportedAnnotationError("cannot serialize an edge without an annotation")
     return {
         "type": "EdgeAnnotated",
         "source": _component_to_obj(edge.source),
@@ -243,49 +239,18 @@ def event_to_obj(event: PhysicalEvent) -> dict:
 def event_from_obj(
     value, kinds: Mapping[ComponentId, DeviceKind], path: str = "event"
 ) -> PhysicalEvent:
-    return _event_from_obj(value, kinds, path, {}, {})
-
-
-_EVENT_KEYS = frozenset(("type", "component", "timepoint", "state"))
-_STATE_KEYS = frozenset(("type", "signal"))
-
-
-def _event_from_obj(
-    value,
-    kinds: Mapping[ComponentId, DeviceKind],
-    path: str,
-    devices: Dict[str, Tuple[ComponentId, DeviceKind]],
-    states: Dict[Tuple[str, str, str], DeviceState],
-) -> PhysicalEvent:
-    """`event_from_obj` with caches of the devices and states earlier
-    events checked: a (component, state type, signal) found there skips
-    the state and signal mapping checks and shares its DeviceState."""
+    """A live event on a device of `kinds`, in a state that device can be in."""
     obj = _obj(value, path)
-    if obj.keys() != _EVENT_KEYS or obj["type"] != "PhysicalEvent":
-        tag = _tag(obj, path)
-        if tag != "PhysicalEvent":
-            raise UnknownTypeTagError(tag, path)
-        _check_keys(obj, path, ["type", "component", "timepoint", "state"])
-    name = obj["component"]
-    known = devices.get(name) if type(name) is str else None
-    if known is None:
-        device = _component(name, f"{path}.component")
-        if device not in kinds:
-            raise UnknownDeviceError(device, f"{path}.component")
-        known = devices[name] = device, kinds[device]
-    device, kind = known
-    t = obj["timepoint"]
-    if type(t) is not int:
-        _int(t, f"{path}.timepoint")
-    spec = obj["state"]
-    state = None
-    if type(spec) is dict and spec.keys() == _STATE_KEYS:
-        level, state_name = spec["signal"], spec["type"]
-        if type(level) is str and type(state_name) is str:
-            state = states.get((name, state_name, level))
-    if state is None:
-        state = _device_state(spec, device, kind, f"{path}.state")
-        states[name, state.name, state.signal.value] = state
+    tag = _tag(obj, path)
+    if tag != "PhysicalEvent":
+        raise UnknownTypeTagError(tag, path)
+    _check_keys(obj, path, ["type", "component", "timepoint", "state"])
+    device = _component(obj["component"], f"{path}.component")
+    if device not in kinds:
+        raise UnknownDeviceError(device, f"{path}.component")
+    kind = kinds[device]
+    t = _int(obj["timepoint"], f"{path}.timepoint")
+    state = _device_state(obj["state"], device, kind, f"{path}.state")
     return PhysicalEvent(device, kind, TimePoint(t), state)
 
 
@@ -336,6 +301,10 @@ def write_trace(target: Union[str, TextIO], events: Iterable[PhysicalEvent]) -> 
             out.write(_event_text(lines, event, None) + "\n")
 
 
+_EVENT_KEYS = frozenset(("type", "component", "timepoint", "state"))
+_STATE_KEYS = frozenset(("type", "signal"))
+
+
 def read_trace(
     source: Union[str, TextIO], kinds: Mapping[ComponentId, DeviceKind]
 ) -> Iterator[PhysicalEvent]:
@@ -346,16 +315,29 @@ def read_trace(
     Device kinds are resolved against `kinds`, usually `catalog.devices`.
     An event's state must be one of the two of its device's signal mapping
     in the station model; a device that `kinds` calls a part has none, and
-    one the station does not have is not checked for it.  Every line gets
-    the shape and time checks; the state's parse and mapping check run once
-    per distinct (device, state type, signal) of the trace, and later lines
-    share that ComponentId and DeviceState.
+    one the station does not have is not checked for it.  The first line of
+    each (component, state type, signal) goes through `event_from_obj`.  A
+    later line of the same three strings shares that event's device, kind
+    and state if it has exactly an event's keys and type tag, an int
+    timepoint and a state of exactly a type and a signal; every other line
+    goes through `event_from_obj`.
     """
-    devices: Dict[str, Tuple[ComponentId, DeviceKind]] = {}
-    states: Dict[Tuple[str, str, str], DeviceState] = {}
+    checked: Dict[Tuple[str, str, str], PhysicalEvent] = {}
     last = None
-    for number, value in _json_lines(_lines(source)):
-        event = _event_from_obj(value, kinds, f"line {number}", devices, states)
+    for number, obj in _json_lines(_lines(source)):
+        first = None
+        if type(obj) is dict and obj.keys() == _EVENT_KEYS and obj["type"] == "PhysicalEvent":
+            t, spec = obj["timepoint"], obj["state"]
+            if type(t) is int and type(spec) is dict and spec.keys() == _STATE_KEYS:
+                name, state_name, level = obj["component"], spec["type"], spec["signal"]
+                if type(name) is type(state_name) is type(level) is str:
+                    first = checked.get((name, state_name, level))
+        if first is None:
+            event = event_from_obj(obj, kinds, f"line {number}")
+            state = event.state
+            checked.setdefault((event.device.id, state.name, state.signal.value), event)
+        else:
+            event = PhysicalEvent(first.device, first.kind, TimePoint(t), first.state)
         t = event.timepoint.t
         if last is not None and t < last:
             raise OutOfOrderEventError(f"line {number}: event at {t} after {last}", line=number)

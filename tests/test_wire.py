@@ -8,9 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capstation.core.bemap import ComponentId
-from capstation.core.graph import EdgeAnn, TemporalConstraint
+from capstation.core.graph import EdgeAnn, TemporalConstraint, TemporalCorrelation
 from capstation.core.timing import TimeDurationRange, TimePoint, relative_duration
-from capstation.devices import DeviceKind, DeviceState, PhysicalEvent, Signal, abstract_state
+from capstation.devices import (
+    KNOWN_STATE_NAMES,
+    DeviceKind,
+    DeviceState,
+    PhysicalEvent,
+    Signal,
+    abstract_state,
+)
 from capstation.errors import (
     MalformedJsonError,
     OutOfOrderEventError,
@@ -19,8 +26,15 @@ from capstation.errors import (
     UnknownTypeTagError,
     UnsupportedAnnotationError,
 )
-from capstation.monitor import CompiledRule, Outcome, RuleKind, Verdict
-from capstation.station import TopologyName, documented_edge
+from capstation.monitor import (
+    CompiledRule,
+    MonitorConfig,
+    Outcome,
+    RuleKind,
+    Verdict,
+    compile_edge,
+)
+from capstation.station import SIGNAL_MAPPINGS, TopologyName, documented_edge
 from capstation.wire import (
     catalog_to_obj,
     duration_to_obj,
@@ -98,11 +112,38 @@ def test_a_duration_anchored_at_a_non_state_does_not_serialize():
         duration_to_obj(relative_duration("cause time", 5))
 
 
-def test_unannotated_edges_do_not_serialize():
-    from capstation.core.graph import EdgeAnn
+_OBSTRUCTED = DeviceState("Obstructed", Signal.HIGH)
+# case: (annotation, compile_edge's message, edge_to_obj's message)
+_UNSUPPORTED = {
+    "unannotated": (None, "unsupported annotation: None", "unsupported annotation: None"),
+    "unknown-object": (
+        "a note", "unsupported annotation: 'a note'", "unsupported annotation: 'a note'"
+    ),
+    "non-state-correlation-cause": (
+        TemporalCorrelation("cause time", relative_duration(_OBSTRUCTED, 5), _OBSTRUCTED),
+        "rule states must be device states", "annotation states must be device states",
+    ),
+    "non-state-constraint-cause": (
+        TemporalConstraint(
+            "cause time",
+            TimeDurationRange(relative_duration(_OBSTRUCTED, 0), relative_duration(_OBSTRUCTED, 5)),
+            _OBSTRUCTED,
+        ),
+        "rule states must be device states", "annotation states must be device states",
+    ),
+}
 
-    with pytest.raises(UnsupportedAnnotationError):
-        edge_to_obj(EdgeAnn(ComponentId("A"), ComponentId("B")))
+
+@pytest.mark.parametrize("case", sorted(_UNSUPPORTED))
+def test_unsupported_annotations_are_rejected_by_the_monitor_and_the_writer(case):
+    annotation, compiled, written = _UNSUPPORTED[case]
+    edge = EdgeAnn(ComponentId("A"), ComponentId("B"), annotation)
+    with pytest.raises(UnsupportedAnnotationError) as err:
+        compile_edge(edge, MonitorConfig())
+    assert str(err.value) == compiled
+    with pytest.raises(UnsupportedAnnotationError) as err:
+        edge_to_obj(edge)
+    assert str(err.value) == written
 
 
 def test_trace_round_trip(catalog, nominal_trace, tmp_path):
@@ -361,3 +402,139 @@ def test_a_seen_device_and_state_still_get_every_check(catalog, fault):
     alone, after = error(bad), error(json.dumps(good) + "\n" + bad)
     assert type(after) is type(alone)
     assert str(after) == str(alone).replace("line 1", "line 2", 1)
+
+
+# -- read_trace against a reference that decodes every line -------------------------
+
+
+def _reference_trace(text, kinds):
+    """event_from_obj and the order check on every non-blank str.splitlines line."""
+    last = None
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedJsonError(f"line {number}: {exc}", line=number) from exc
+        event = event_from_obj(obj, kinds, f"line {number}")
+        t = event.timepoint.t
+        if last is not None and t < last:
+            raise OutOfOrderEventError(f"line {number}: event at {t} after {last}", line=number)
+        last = t
+        yield event
+
+
+def _drain(events):
+    """The events read, and the error that stopped the reading as (type, message, line)."""
+    out = []
+    try:
+        for event in events:
+            out.append(event)
+    except Exception as exc:
+        return out, (type(exc), str(exc), getattr(exc, "line", None))
+    return out, None
+
+
+# each takes the lines' event objects, the index of the line to mutate and
+# the draw function, and returns that line's new text
+def _retimed(text):
+    return lambda objs, i, draw: json.dumps(objs[i]).replace(
+        f'"timepoint": {objs[i]["timepoint"]}', f'"timepoint": {text}'
+    )
+
+
+def _inserted(char):
+    def insert(objs, i, draw):
+        line = json.dumps(objs[i])
+        at = draw(st.integers(0, len(line)))
+        return line[:at] + char + line[at:]
+    return insert
+
+
+def _swapped_signal(objs, i, draw):
+    """The device and state type of an earlier line, with the other signal."""
+    seen = objs[draw(st.integers(0, max(i - 1, 0)))]
+    level = "Low" if seen["state"]["signal"] == "High" else "High"
+    state = {"type": seen["state"]["type"], "signal": level}
+    return json.dumps({**objs[i], "component": seen["component"], "state": state})
+
+
+def _foreign_state(objs, i, draw):
+    """The device of an earlier line, in a state type it does not have."""
+    seen = objs[draw(st.integers(0, max(i - 1, 0)))]
+    mapping = SIGNAL_MAPPINGS[ComponentId(seen["component"])]
+    name = draw(st.sampled_from(sorted(KNOWN_STATE_NAMES - {mapping.high.name, mapping.low.name})))
+    state = {"type": name, "signal": objs[i]["state"]["signal"]}
+    return json.dumps({**objs[i], "component": seen["component"], "state": state})
+
+
+def _duplicated(objs, i, draw):
+    key, value = draw(st.sampled_from([
+        ("type", "Mystery"), ("component", "Ghost"), ("timepoint", 0),
+        ("state", {"type": "Active"}), ("state", objs[i]["state"]),
+    ]))
+    pair, line = f"{json.dumps(key)}: {json.dumps(value)}", json.dumps(objs[i])
+    # json.loads keeps the last of two equal keys
+    return "{" + pair + ", " + line[1:] if draw(st.booleans()) else line[:-1] + ", " + pair + "}"
+
+
+def _missing_key(objs, i, draw):
+    obj = dict(objs[i])
+    del obj[draw(st.sampled_from(sorted(obj)))]
+    return json.dumps(obj)
+
+
+def _reversed(obj: dict) -> dict:
+    return {k: _reversed(v) if isinstance(v, dict) else v for k, v in reversed(list(obj.items()))}
+
+
+_LOOSE = (" ,\t", " :  ")  # json.dumps separators with extra whitespace
+_LINE_MUTATIONS = {
+    "whitespace": lambda objs, i, draw: " " + json.dumps(objs[i], separators=_LOOSE) + "\t ",
+    "key-order": lambda objs, i, draw: json.dumps(_reversed(objs[i])),
+    "duplicate-key": _duplicated,
+    "extra-key": lambda objs, i, draw: json.dumps({**objs[i], "extra": None}),
+    "missing-key": _missing_key,
+    "time-minus-zero": _retimed("-0"),
+    "time-float": _retimed("1.0"),
+    "time-exponent": _retimed("1e3"),
+    "time-true": _retimed("true"),
+    "time-30-digits": _retimed("1" * 30),
+    "vertical-tab": _inserted("\x0b"),
+    "line-separator": _inserted("\u2028"),
+    "crlf": lambda objs, i, draw: json.dumps(objs[i]) + "\r",
+    "swapped-signal": _swapped_signal,
+    "foreign-state": _foreign_state,
+}
+
+
+@st.composite
+def mutated_station_traces(draw):
+    """A valid trace on a few station devices, so that lines repeat, as
+    write_trace writes it; then one to three of its lines mutated."""
+    pool = draw(st.lists(st.sampled_from(sorted(SIGNAL_MAPPINGS)), min_size=1, max_size=2))
+    changes = st.tuples(
+        st.sampled_from(pool), st.sampled_from([Signal.HIGH, Signal.LOW]), st.integers(0, 1500)
+    )
+    events, t = [], 0
+    for device, signal, gap in draw(st.lists(changes, min_size=1, max_size=40)):
+        t += gap
+        state = SIGNAL_MAPPINGS[device](signal)
+        events.append(PhysicalEvent(device, DeviceKind.SENSOR, TimePoint(t), state))
+    out = io.StringIO()
+    write_trace(out, events)
+    lines = out.getvalue().splitlines()
+    objs = [event_to_obj(e) for e in events]
+    last = len(events) - 1
+    # counted from the end, so that a mutated line tends to follow lines like it
+    for i in draw(st.lists(st.integers(0, last).map(lambda k: last - k), min_size=1, max_size=3, unique=True)):
+        lines[i] = _LINE_MUTATIONS[draw(st.sampled_from(sorted(_LINE_MUTATIONS)))](objs, i, draw)
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_station_traces())
+def test_read_trace_equals_the_reference_reader(catalog, text):
+    expected = _drain(_reference_trace(text, catalog.devices))
+    assert _drain(read_trace(io.StringIO(text), kinds=catalog.devices)) == expected
