@@ -14,12 +14,16 @@ Traces stream: `write_trace` writes each event as it comes, `read_trace`
 yields each event as its line is read, and `write_report` writes the
 report one verdict at a time; none holds the whole trace or report.  The
 writers render each rule's and (device, state)'s text once, by json.dumps.
+The trace reader is their inverse: once json.loads and `event_from_obj`
+have checked an event of a (device, state), a later line that is the
+writer's text of it around a JSON integer is read from that text alone.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import re
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
 from .core.bemap import BeMapKV, ComponentId, ComponentValue, ValueKind
@@ -109,8 +113,8 @@ def _write_text(target: Union[str, TextIO], text: str) -> None:
         fp.write(text)
 
 
-def _json_lines(chunks: Iterable[str]) -> Iterator[Tuple[int, object]]:
-    """(line number, decoded value) of every non-blank JSON line.
+def _numbered_lines(chunks: Iterable[str]) -> Iterator[Tuple[int, str]]:
+    """(line number, text) of every non-blank line.
 
     Lines are numbered as str.splitlines numbers the whole text: each line
     a file yields is split again, so a break other than a newline counts.
@@ -119,12 +123,16 @@ def _json_lines(chunks: Iterable[str]) -> Iterator[Tuple[int, object]]:
     for chunk in chunks:
         for line in chunk.splitlines():
             number += 1
-            if not line.strip():
-                continue
-            try:
-                yield number, json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-                raise MalformedJsonError(f"line {number}: {exc}", line=number) from exc
+            if line.strip():
+                yield number, line
+
+
+def _json_line(number: int, line: str):
+    """The value of one JSON line; an error names the line."""
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as exc:  # not JSON, too many digits, too deeply nested
+        raise MalformedJsonError(f"line {number}: {exc}", line=number) from exc
 
 
 # -- states --------------------------------------------------------------------
@@ -274,23 +282,27 @@ def _device_state(value, device: ComponentId, kind: DeviceKind, path: str) -> De
     return allowed
 
 
+_TIMEPOINT = '"timepoint": '  # the key before the one value the event templates leave open
+
+
 def _event_text(cache: dict, event: PhysicalEvent, indent: Optional[int]) -> str:
     """json.dumps(event_to_obj(event), indent=indent), nested as in the report.
     The text on either side of the timepoint is rendered once per (device,
     state) into `cache`; names escape their quotes, so only the key is split."""
-    key = (event.device.id, event.state.name, event.state.signal.value)
+    # an event's signal is High or Low, never don't-care
+    key = (event.device.id, event.state.name, event.state.signal is Signal.HIGH)
     halves = cache.get(key)
     if halves is None:
         obj = {**event_to_obj(event), "timepoint": 0}
         dump = json.dumps(obj, indent=indent).replace("\n", "\n    ")
-        before, _, after = dump.partition('"timepoint": 0')
-        halves = cache[key] = before + '"timepoint": ', after
+        before, _, after = dump.partition(_TIMEPOINT + "0")
+        halves = cache[key] = before + _TIMEPOINT, after
     return f"{halves[0]}{event.timepoint.t}{halves[1]}"
 
 
 def write_trace(target: Union[str, TextIO], events: Iterable[PhysicalEvent]) -> None:
     """Write events as JSON lines, each as it comes; events must be time-ordered."""
-    lines: Dict[Tuple[str, str, str], Tuple[str, str]] = {}
+    lines: Dict[Tuple[str, str, bool], Tuple[str, str]] = {}
     with _opened(target) as out:
         last = None
         for event in events:
@@ -301,8 +313,43 @@ def write_trace(target: Union[str, TextIO], events: Iterable[PhysicalEvent]) -> 
             out.write(_event_text(lines, event, None) + "\n")
 
 
+def _around_time(line: str) -> Tuple[Tuple[str, str], str]:
+    """((text before, text after), digits): a line cut at its first timepoint
+    key and at the first comma after it."""
+    head, _, rest = line.partition(_TIMEPOINT)
+    digits, _, tail = rest.partition(",")
+    return (head, tail), digits
+
+
+# JSON's integer grammar, in ASCII digits only
+_JSON_INT = re.compile(r"-?(?:0|[1-9][0-9]*)")
+
+
+def _json_int(text: str) -> Optional[int]:
+    """The int json.loads reads from `text`, or None if it reads none or fails."""
+    if _JSON_INT.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
 _EVENT_KEYS = frozenset(("type", "component", "timepoint", "state"))
 _STATE_KEYS = frozenset(("type", "signal"))
+
+
+def _record_key(obj) -> Optional[Tuple[str, str, str]]:
+    """(component, state type, signal) of an object with exactly an event's
+    keys and type tag, an int timepoint and a state of exactly a type and a
+    signal, all three strings; None for any other value."""
+    if type(obj) is dict and obj.keys() == _EVENT_KEYS and obj["type"] == "PhysicalEvent":
+        spec = obj["state"]
+        if type(obj["timepoint"]) is int and type(spec) is dict and spec.keys() == _STATE_KEYS:
+            key = obj["component"], spec["type"], spec["signal"]
+            if type(key[0]) is type(key[1]) is type(key[2]) is str:
+                return key
+    return None
 
 
 def read_trace(
@@ -315,34 +362,42 @@ def read_trace(
     Device kinds are resolved against `kinds`, usually `catalog.devices`.
     An event's state must be one of the two of its device's signal mapping
     in the station model; a device that `kinds` calls a part has none, and
-    one the station does not have is not checked for it.  The first line of
-    each (component, state type, signal) goes through `event_from_obj`.  A
-    later line of the same three strings shares that event's device, kind
-    and state if it has exactly an event's keys and type tag, an int
-    timepoint and a state of exactly a type and a signal; every other line
-    goes through `event_from_obj`.
+    one the station does not have is not checked for it.
+
+    The first line of each (component, state type, signal) goes through
+    json.loads and `event_from_obj`, and every later event of those three
+    strings shares that event's device, kind and state.  A later line is
+    matched by its text first: it is cut at `"timepoint": ` and at the next
+    comma, and if the text on both sides is write_trace's own text of that
+    event and the digits match JSON's integer grammar in ASCII and are few
+    enough for int(), it is read without json.loads.  Any other line is
+    decoded by json.loads; it shares the event of its three strings if the
+    object has exactly an event's keys and type tag, an int timepoint and a
+    state of exactly a type and a signal, and every other object goes
+    through `event_from_obj`.
+    So every error comes from json.loads or `event_from_obj`, with its line.
     """
-    checked: Dict[Tuple[str, str, str], PhysicalEvent] = {}
+    checked: Dict[Tuple[str, str, str], PhysicalEvent] = {}  # by the three strings
+    templates: Dict[Tuple[str, str], PhysicalEvent] = {}  # by the writer's text around the time
+    texts: dict = {}  # _event_text's cache
     last = None
-    for number, obj in _json_lines(_lines(source)):
-        first = None
-        if type(obj) is dict and obj.keys() == _EVENT_KEYS and obj["type"] == "PhysicalEvent":
-            t, spec = obj["timepoint"], obj["state"]
-            if type(t) is int and type(spec) is dict and spec.keys() == _STATE_KEYS:
-                name, state_name, level = obj["component"], spec["type"], spec["signal"]
-                if type(name) is type(state_name) is type(level) is str:
-                    first = checked.get((name, state_name, level))
-        if first is None:
-            event = event_from_obj(obj, kinds, f"line {number}")
-            state = event.state
-            checked.setdefault((event.device.id, state.name, state.signal.value), event)
-        else:
-            event = PhysicalEvent(first.device, first.kind, TimePoint(t), first.state)
-        t = event.timepoint.t
+    for number, line in _numbered_lines(_lines(source)):
+        around, digits = _around_time(line)
+        seen = templates.get(around)
+        t = None if seen is None else _json_int(digits)
+        if t is None:
+            obj = _json_line(number, line)
+            seen = checked.get(_record_key(obj))
+            if seen is None:
+                seen = event_from_obj(obj, kinds, f"line {number}")
+                state = seen.state
+                checked[seen.device.id, state.name, state.signal.value] = seen
+                templates[_around_time(_event_text(texts, seen, None))[0]] = seen
+            t = obj["timepoint"]
         if last is not None and t < last:
             raise OutOfOrderEventError(f"line {number}: event at {t} after {last}", line=number)
         last = t
-        yield event
+        yield PhysicalEvent(seen.device, seen.kind, TimePoint(t), seen.state)
 
 
 # -- scenario scripts and fault files ---------------------------------------------
@@ -365,9 +420,9 @@ _ACTUATORS_BY_ID = {actuator.id: actuator for actuator in ACTUATORS}
 def read_script(source: Union[str, TextIO]) -> Tuple[Command, ...]:
     """Read and check a whole script; its commands share the station's actuators."""
     commands: List[Command] = []
-    for number, value in _json_lines(_lines(source)):
+    for number, line in _numbered_lines(_lines(source)):
         path = f"line {number}"
-        obj = _obj(value, path)
+        obj = _obj(_json_line(number, line), path)
         _check_keys(obj, path, ["time_ms", "actuator", "signal"])
         level = obj["signal"]
         signal = _SIGNALS.get(level) if isinstance(level, str) else None
@@ -429,11 +484,27 @@ def faults_from_obj(value) -> List[FaultSpec]:
     return out
 
 
+# a JSON string, or a number's integer, fraction and exponent parts
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|(-?[0-9]+)(\.[0-9]+)?([eE][-+]?[0-9]+)?')
+
+
+def _unconvertible_int_line(text: str) -> Optional[int]:
+    """The line of the first integer in JSON text that int() cannot convert."""
+    for token in _JSON_TOKEN.finditer(text):
+        if token[1] and not (token[2] or token[3]) and _json_int(token[1]) is None:
+            return text.count("\n", 0, token.start()) + 1
+    return None
+
+
 def read_faults(source: Union[str, TextIO]) -> List[FaultSpec]:
+    text = "".join(_lines(source))
     try:
-        value = json.loads("".join(_lines(source)))
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+        value = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: too deeply nested
         raise MalformedJsonError(str(exc)) from exc
+    except ValueError as exc:  # more digits than int() converts, with no place in the message
+        line = _unconvertible_int_line(text)
+        raise MalformedJsonError(f"line {line}: {exc}", line=line) from exc
     return faults_from_obj(value)
 
 
@@ -512,7 +583,7 @@ def write_report(out: TextIO, verdicts: Iterable) -> Iterator:
     it is written.  Drained, it has written json.dumps(list, indent=2) of
     their verdict_to_obj objects and a newline."""
     heads: Dict[int, Tuple[object, str]] = {}  # by id(rule); the entry keeps the rule alive
-    events: Dict[Tuple[str, str, str], Tuple[str, str]] = {}
+    events: Dict[Tuple[str, str, bool], Tuple[str, str]] = {}
     sep = "[\n  "
     for verdict in verdicts:
         head = heads.get(id(verdict.rule))

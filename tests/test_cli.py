@@ -112,6 +112,9 @@ def test_dot_without_topology_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
+_DIGITS = "1" * 5000  # more than int() converts from a decimal string by default
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -147,6 +150,11 @@ def test_dot_without_topology_is_a_usage_error(capsys):
             '{"time_ms": 0, "actuator": "Loader Pickup", "signal": {}}\n',
             "line 1.signal: signal must be High or Low",
         ),
+        (
+            '{"time_ms": 0, "actuator": "Loader Pickup", "signal": "High"}\n\n'
+            f'{{"time_ms": {_DIGITS}, "actuator": "Loader Pickup", "signal": "Low"}}\n',
+            "line 3: Exceeds the limit (",
+        ),
     ],
     ids=[
         "bad-json",
@@ -157,6 +165,7 @@ def test_dot_without_topology_is_a_usage_error(capsys):
         "sensor-as-actuator",
         "list-signal",
         "object-signal",
+        "too-many-digits",
     ],
 )
 def test_malformed_scenario_is_an_input_error(tmp_path, capsys, text, message):
@@ -167,6 +176,7 @@ def test_malformed_scenario_is_an_input_error(tmp_path, capsys, text, message):
     assert captured.out == ""
     assert message in captured.err
     assert "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_missing_scenario_file_is_an_input_error(tmp_path, capsys):
@@ -231,10 +241,15 @@ _GOOD_TRACE_LINE = (
             '"state": {"type": "Obstructed", "signal": {}}}\n',
             "line 2.state: signal must be High or Low, got {}",
         ),
+        # the first line's text around the time, so the reader matches it before json.loads
+        (
+            _GOOD_TRACE_LINE.replace('"timepoint": 0', f'"timepoint": {_DIGITS}'),
+            "line 2: Exceeds the limit (",
+        ),
     ],
     ids=[
         "unknown-event-type", "unknown-device", "unknown-state-type", "unmapped-state",
-        "part-state", "list-signal", "object-signal",
+        "part-state", "list-signal", "object-signal", "too-many-digits",
     ],
 )
 def test_malformed_trace_is_a_located_input_error(tmp_path, capsys, line, message):
@@ -245,6 +260,7 @@ def test_malformed_trace_is_a_located_input_error(tmp_path, capsys, line, messag
     assert captured.out == ""
     assert message in captured.err
     assert "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):
@@ -437,15 +453,21 @@ def test_simulate_reads_scenario_from_stdin(tmp_path, capsys, monkeypatch):
             {"fault": "latency-override", "device": "Stack Empty", "latency_ms": 300},
             "faults[0]: no motion latency for Stack Empty / None",
         ),
+        (  # as text: json.dumps cannot write it either
+            '[{"fault": "latency-override", "device": "Stack Ejector Extend", "note": "1111",\n'
+            f'  "latency_ms": {_DIGITS}}}]\n',
+            "error: line 2: Exceeds the limit (",
+        ),
     ],
     ids=[
         "negative-latency", "stuck-actuator", "empty-device", "bogus-transition",
         "unmapped-stuck-state", "non-string-stuck-state", "unknown-device", "sensor-latency",
+        "too-many-digits",
     ],
 )
 def test_out_of_range_fault_is_an_input_error(scenario_file, tmp_path, capsys, fault, message):
     faults = tmp_path / "faults.json"
-    faults.write_text(json.dumps([fault]))
+    faults.write_text(fault if isinstance(fault, str) else json.dumps([fault]))
     code = cli_main(
         ["simulate", "--scenario", str(scenario_file), "--faults", str(faults), "--out", "-"]
     )
@@ -454,6 +476,7 @@ def test_out_of_range_fault_is_an_input_error(scenario_file, tmp_path, capsys, f
     assert captured.out == ""
     assert message in captured.err
     assert "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("semantics", ["event", "state"])

@@ -415,7 +415,7 @@ def _reference_trace(text, kinds):
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or more digits than int() converts
             raise MalformedJsonError(f"line {number}: {exc}", line=number) from exc
         event = event_from_obj(obj, kinds, f"line {number}")
         t = event.timepoint.t
@@ -485,6 +485,11 @@ def _missing_key(objs, i, draw):
     return json.dumps(obj)
 
 
+def _blank_line_before(objs, i, draw):
+    """A blank line, which is counted but not read, then the line unchanged."""
+    return draw(st.sampled_from(["", " ", "\t"])) + "\n" + json.dumps(objs[i])
+
+
 def _reversed(obj: dict) -> dict:
     return {k: _reversed(v) if isinstance(v, dict) else v for k, v in reversed(list(obj.items()))}
 
@@ -501,9 +506,18 @@ _LINE_MUTATIONS = {
     "time-exponent": _retimed("1e3"),
     "time-true": _retimed("true"),
     "time-30-digits": _retimed("1" * 30),
+    "time-5000-digits": _retimed("1" * 5000),  # json.loads raises a plain ValueError
+    # int() reads each of these, and str.isdigit accepts the non-ASCII digits
+    "time-leading-zero": _retimed("01"),
+    "time-plus": _retimed("+1"),
+    "time-underscore": _retimed("1_000"),
+    "time-arabic-indic": _retimed("\u0661\u0662"),
+    "time-fullwidth": _retimed("\uff11\uff12"),
+    "time-superscript": _retimed("\u00b2"),
     "vertical-tab": _inserted("\x0b"),
     "line-separator": _inserted("\u2028"),
     "crlf": lambda objs, i, draw: json.dumps(objs[i]) + "\r",
+    "blank-line-before": _blank_line_before,
     "swapped-signal": _swapped_signal,
     "foreign-state": _foreign_state,
 }
@@ -512,12 +526,13 @@ _LINE_MUTATIONS = {
 @st.composite
 def mutated_station_traces(draw):
     """A valid trace on a few station devices, so that lines repeat, as
-    write_trace writes it; then one to three of its lines mutated."""
+    write_trace writes it, from a start time that may be negative; then one
+    to three of its lines mutated, and maybe no newline after the last."""
     pool = draw(st.lists(st.sampled_from(sorted(SIGNAL_MAPPINGS)), min_size=1, max_size=2))
     changes = st.tuples(
         st.sampled_from(pool), st.sampled_from([Signal.HIGH, Signal.LOW]), st.integers(0, 1500)
     )
-    events, t = [], 0
+    events, t = [], draw(st.integers(-20000, 1000))
     for device, signal, gap in draw(st.lists(changes, min_size=1, max_size=40)):
         t += gap
         state = SIGNAL_MAPPINGS[device](signal)
@@ -530,7 +545,7 @@ def mutated_station_traces(draw):
     # counted from the end, so that a mutated line tends to follow lines like it
     for i in draw(st.lists(st.integers(0, last).map(lambda k: last - k), min_size=1, max_size=3, unique=True)):
         lines[i] = _LINE_MUTATIONS[draw(st.sampled_from(sorted(_LINE_MUTATIONS)))](objs, i, draw)
-    return "".join(line + "\n" for line in lines)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
 
 
 @settings(max_examples=400, deadline=None)
