@@ -1,30 +1,25 @@
 """Spatio-temporal model, simulator and runtime monitor for the cap
 dispenser processing station."""
 
-from . import core, devices, dot, monitor, scenarios, simulator, station, wire
-from .monitor import MonitorConfig, Outcome, StreamMonitor, check_spatial, check_trace
-from .simulator import Simulation, run_script
-from .station import StationCatalog, TopologyName, build_catalog
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MonitorConfig",
-    "Outcome",
-    "Simulation",
-    "StationCatalog",
-    "StreamMonitor",
-    "TopologyName",
-    "build_catalog",
-    "check_spatial",
-    "check_trace",
-    "core",
-    "devices",
-    "dot",
-    "monitor",
-    "run_script",
-    "scenarios",
-    "simulator",
-    "station",
-    "wire",
-]
+# the exported names of each submodule, imported when one is first read, so
+# that a process loads only the modules its command runs
+_EXPORTS = {
+    "monitor": ("MonitorConfig", "Outcome", "StreamMonitor", "check_spatial", "check_trace"),
+    "simulator": ("Simulation", "run_script"),
+    "station": ("StationCatalog", "TopologyName", "build_catalog"),
+    **dict.fromkeys(("core", "devices", "dot", "scenarios", "wire"), ()),
+}
+_HOMES = {name: home for home, names in _EXPORTS.items() for name in (home, *names)}
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home}")
+    return module if home == name else getattr(module, name)

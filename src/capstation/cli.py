@@ -15,21 +15,11 @@ import sys
 from typing import Iterator, List, Optional, TextIO
 
 from .core.bemap import ComponentId
-from .dot import render_dot
 from .errors import ModelError
-from .monitor import MonitorConfig, Semantics, SequenceUnit, check_spatial, check_trace
-from .simulator import stream_script
 from .station import TopologyName, build_catalog
-from .wire import (
-    _write_text,
-    catalog_to_obj,
-    graph_to_obj,
-    read_faults,
-    read_script,
-    read_trace,
-    write_report,
-    write_trace,
-)
+
+# Each command imports the rest of what it runs, so that a process of the
+# simulate | monitor pipe does not load the other end's modules.
 
 _TOPOLOGY_FLAGS = {
     "process-sequence": TopologyName.PROCESS_SEQUENCE,
@@ -89,6 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_model_dump(args) -> int:
+    from .dot import render_dot
+    from .wire import _write_text, catalog_to_obj, graph_to_obj
     catalog = build_catalog()
     out = sys.stdout if args.out == "-" else args.out
     if args.topology is None:
@@ -114,6 +106,8 @@ def _cmd_model_dump(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulator import stream_script
+    from .wire import read_faults, read_script, write_trace
     catalog = build_catalog()
     script = read_script(sys.stdin if args.scenario == "-" else args.scenario)
     faults = read_faults(args.faults) if args.faults else []
@@ -148,6 +142,8 @@ def _report_file(report: Optional[str], trace: str) -> Iterator[Optional[TextIO]
 
 
 def _cmd_monitor(args) -> int:
+    from .monitor import MonitorConfig, Semantics, SequenceUnit, check_trace
+    from .wire import read_trace, write_report
     catalog = build_catalog()
     cfg = MonitorConfig(
         correlation_tolerance_ms=args.tolerance_ms,
@@ -188,6 +184,7 @@ def _cmd_monitor(args) -> int:
 
 
 def _cmd_check_spatial(args) -> int:
+    from .monitor import check_spatial
     catalog = build_catalog()
     if args.devices:
         pool = [ComponentId(d) for d in args.devices]

@@ -11,17 +11,28 @@ from typing import Iterable, Optional, Tuple
 
 from ..errors import DuplicateKeyError
 from .geometry import Box3D
+from .record import OrderedRecord
 
 
-@dataclass(frozen=True, order=True)
-class ComponentId:
+class ComponentId(OrderedRecord):
     """Unique name of a device or concept; equality is exact string equality."""
 
-    id: str
+    __slots__ = ("id",)
 
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
+    def __init__(self, id: str):
+        if not isinstance(id, str) or not id:
             raise ValueError("component id must be a non-empty string")
+        self._setters[0](self, id)
+
+    # written out: the simulator hashes one per command and event, and the
+    # monitor compares one per event and open obligation
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.id == other.id
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.id,))
 
     def __str__(self) -> str:
         return self.id

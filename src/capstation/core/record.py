@@ -1,0 +1,53 @@
+"""Immutable records with a frozen dataclass's methods, written once here
+instead of generated in each process that imports them.  A record names
+its fields in `__slots__` (after those of its bases, in `_fields`); its
+__init__ checks them and stores each with its slot's setter from
+`_setters`, which skips the record's __setattr__."""
+
+import operator
+from dataclasses import FrozenInstanceError
+
+
+def _compare(op):
+    def method(self, other):  # as a frozen dataclass: with records of its own class only
+        if other.__class__ is self.__class__:
+            return op(self._values(), other._values())
+        return NotImplemented
+
+    return method
+
+
+class Record:
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls._fields + tuple(vars(cls).get("__slots__", ()))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    __eq__ = _compare(operator.eq)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild a record through its __init__
+        return self.__class__, self._values()
+
+
+class OrderedRecord(Record):
+    __slots__ = ()
+    __lt__, __le__ = _compare(operator.lt), _compare(operator.le)
+    __gt__, __ge__ = _compare(operator.gt), _compare(operator.ge)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable
 
+from .record import OrderedRecord
+
 
 def _require_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
@@ -19,14 +21,13 @@ def _require_int(value, what: str) -> int:
     return value
 
 
-@dataclass(frozen=True, order=True)
-class TimePoint:
+class TimePoint(OrderedRecord):
     """Milliseconds since epoch or since simulation start."""
 
-    t: int
+    __slots__ = ("t",)
 
-    def __post_init__(self):
-        _require_int(self.t, "timepoint")
+    def __init__(self, t: int):
+        self._setters[0](self, t if type(t) is int else _require_int(t, "timepoint"))
 
 
 @dataclass(frozen=True)

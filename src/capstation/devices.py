@@ -1,4 +1,5 @@
-"""Device taxonomy, signal semantics, states and live events.
+"""Device taxonomy, signal semantics, states, live events, and the
+commands and plant faults that drive the simulator.
 
 Devices are parts, actuators or sensors.  Every device in the modelled
 station uses binary signalling, so a signal is High, Low, or the
@@ -12,8 +13,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple, Optional, Union
 
 from .core.bemap import ComponentId
+from .core.record import Record
 from .core.timing import TimePoint
 from .errors import AbstractStateInEventError, DontCareInputError
 
@@ -30,18 +33,14 @@ class Signal(enum.Enum):
     DONT_CARE = "Don't Care"
 
 
-@dataclass(frozen=True)
-class DeviceState:
-    name: str
-    signal: Signal
+class DeviceState(Record):
+    __slots__ = ("name", "signal")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, signal: Signal):
+        if not name:
             raise ValueError("state name must be non-empty")
-
-    @property
-    def is_abstract(self) -> bool:
-        return self.signal is Signal.DONT_CARE
+        self._setters[0](self, name)
+        self._setters[1](self, signal)
 
 
 def abstract_state(name: str) -> DeviceState:
@@ -135,17 +134,52 @@ class SpatialVariationSet:
             raise ValueError("positions must be pairwise distinct")
 
 
-@dataclass(frozen=True)
-class PhysicalEvent:
+class PhysicalEvent(Record):
     """A device changed to a concrete state at an instant in time."""
 
+    __slots__ = ("device", "kind", "timepoint", "state")
+
+    def __init__(
+        self, device: ComponentId, kind: DeviceKind, timepoint: TimePoint, state: DeviceState
+    ):
+        if state.signal is Signal.DONT_CARE:
+            raise AbstractStateInEventError(f"live event for {device} carries a don't-care state")
+        set_device, set_kind, set_timepoint, set_state = self._setters
+        set_device(self, device)
+        set_kind(self, kind)
+        set_timepoint(self, timepoint)
+        set_state(self, state)
+
+
+class Command(NamedTuple):
+    """One script line; a script is any time-ordered sequence of these."""
+
+    time: int
+    actuator: ComponentId
+    signal: Signal
+
+
+# Transitions of an actuator, as the simulator's latency table keys them.
+ACTIVATE = "activate"
+DEACTIVATE = "deactivate"
+
+
+@dataclass(frozen=True)
+class LatencyOverride:
     device: ComponentId
-    kind: DeviceKind
-    timepoint: TimePoint
+    latency_ms: int
+    transition: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class StuckSensor:
+    device: ComponentId
     state: DeviceState
 
-    def __post_init__(self):
-        if self.state.is_abstract:
-            raise AbstractStateInEventError(
-                f"live event for {self.device} carries a don't-care state"
-            )
+
+@dataclass(frozen=True)
+class DropEvents:
+    device: ComponentId
+
+
+FaultSpec = Union[LatencyOverride, StuckSensor, DropEvents]

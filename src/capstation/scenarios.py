@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .devices import Signal
-from .simulator import Command, FaultSpec, LatencyOverride, ACTIVATE
+from .devices import ACTIVATE, Command, FaultSpec, LatencyOverride, Signal
 from .station import (
     EJECT_AIR_PULSE,
     LOADER_DROPOFF,

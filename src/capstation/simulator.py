@@ -20,11 +20,12 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core.bemap import ComponentId
 from .core.timing import TimePoint
-from .devices import DeviceKind, DeviceState, PhysicalEvent, Signal
+from .devices import ACTIVATE, DEACTIVATE, Command, DeviceKind, DeviceState, DropEvents
+from .devices import FaultSpec, LatencyOverride, PhysicalEvent, Signal, StuckSensor
 from .errors import ModelError, TimeRegressionError, UnknownActuatorError, UnknownDeviceError
 from .station import (
     EJECT_AIR_PULSE,
@@ -85,11 +86,6 @@ class _Axis:
     motion: Optional[_Motion] = None
 
 
-# Transition identifiers for the latency table.
-ACTIVATE = "activate"
-DEACTIVATE = "deactivate"
-
-
 @dataclass(frozen=True)
 class LatencyTable:
     """Motion durations in ms, keyed by (actuator, transition)."""
@@ -131,35 +127,6 @@ def default_latency_table(jitter_ms: int = 0) -> LatencyTable:
         },
         jitter_ms=jitter_ms,
     )
-
-
-class Command(NamedTuple):
-    """One script line; a script is any time-ordered sequence of these."""
-
-    time: int
-    actuator: ComponentId
-    signal: Signal
-
-
-@dataclass(frozen=True)
-class LatencyOverride:
-    device: ComponentId
-    latency_ms: int
-    transition: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class StuckSensor:
-    device: ComponentId
-    state: DeviceState
-
-
-@dataclass(frozen=True)
-class DropEvents:
-    device: ComponentId
-
-
-FaultSpec = Union[LatencyOverride, StuckSensor, DropEvents]
 
 
 @dataclass
@@ -367,7 +334,7 @@ class Simulation:
         self.events.append(PhysicalEvent(actuator, DeviceKind.ACTUATOR, TimePoint(t), meaning))
         active = meaning.name == "Active"
 
-        match actuator.id:  # string compares, not dataclass ones
+        match actuator.id:  # string compares, not record ones
             case STACK_EJECTOR_EXTEND.id:
                 transition = ACTIVATE if active else DEACTIVATE
                 to = EjectorPosition.EXTENDED if active else EjectorPosition.RETRACTED

@@ -14,9 +14,11 @@ Traces stream: `write_trace` writes each event as it comes, `read_trace`
 yields each event as its line is read, and `write_report` writes the
 report one verdict at a time; none holds the whole trace or report.  The
 writers render each rule's and (device, state)'s text once, by json.dumps.
-The trace reader is their inverse: once json.loads and `event_from_obj`
-have checked an event of a (device, state), a later line that is the
-writer's text of it around a JSON integer is read from that text alone.
+The trace and script readers are their inverse: once json.loads and the
+checks have read an event of a (device, state), or a command of an
+(actuator, signal), a later line that is the writer's text of it around a
+JSON integer in ASCII is read from that text alone.  Every other line is
+read through json.loads, so every error is the one that path raises.
 """
 
 from __future__ import annotations
@@ -29,15 +31,9 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 from .core.bemap import BeMapKV, ComponentId, ComponentValue, ValueKind
 from .core.graph import AnnotatedGraph, EdgeAnn, TemporalConstraint, TemporalCorrelation
 from .core.timing import TimeDuration, TimeDurationRange, TimePoint
-from .devices import (
-    DeviceKind,
-    DeviceState,
-    KNOWN_STATE_NAMES,
-    PhysicalEvent,
-    Signal,
-    SignalMapping,
-    abstract_state,
-)
+from .devices import ACTIVATE, DEACTIVATE, KNOWN_STATE_NAMES, Command, DeviceKind, DeviceState
+from .devices import DropEvents, FaultSpec, LatencyOverride, PhysicalEvent, Signal, SignalMapping
+from .devices import StuckSensor, abstract_state
 from .errors import (
     MalformedJsonError,
     OutOfOrderEventError,
@@ -46,8 +42,6 @@ from .errors import (
     UnknownTypeTagError,
     UnsupportedAnnotationError,
 )
-from .simulator import ACTIVATE, DEACTIVATE, Command, DropEvents, FaultSpec
-from .simulator import LatencyOverride, StuckSensor
 from .station import ACTUATORS, SIGNAL_MAPPINGS
 
 
@@ -313,10 +307,10 @@ def write_trace(target: Union[str, TextIO], events: Iterable[PhysicalEvent]) -> 
             out.write(_event_text(lines, event, None) + "\n")
 
 
-def _around_time(line: str) -> Tuple[Tuple[str, str], str]:
-    """((text before, text after), digits): a line cut at its first timepoint
-    key and at the first comma after it."""
-    head, _, rest = line.partition(_TIMEPOINT)
+def _around_time(line: str, key: str) -> Tuple[Tuple[str, str], str]:
+    """((text before, text after), digits): a line cut at the first `key`
+    (a time's key and colon) and at the first comma after it."""
+    head, _, rest = line.partition(key)
     digits, _, tail = rest.partition(",")
     return (head, tail), digits
 
@@ -382,7 +376,7 @@ def read_trace(
     texts: dict = {}  # _event_text's cache
     last = None
     for number, line in _numbered_lines(_lines(source)):
-        around, digits = _around_time(line)
+        around, digits = _around_time(line, _TIMEPOINT)
         seen = templates.get(around)
         t = None if seen is None else _json_int(digits)
         if t is None:
@@ -392,7 +386,7 @@ def read_trace(
                 seen = event_from_obj(obj, kinds, f"line {number}")
                 state = seen.state
                 checked[seen.device.id, state.name, state.signal.value] = seen
-                templates[_around_time(_event_text(texts, seen, None))[0]] = seen
+                templates[_around_time(_event_text(texts, seen, None), _TIMEPOINT)[0]] = seen
             t = obj["timepoint"]
         if last is not None and t < last:
             raise OutOfOrderEventError(f"line {number}: event at {t} after {last}", line=number)
@@ -415,30 +409,42 @@ def write_script(target: Union[str, TextIO], script: Sequence[Command]) -> None:
 
 
 _ACTUATORS_BY_ID = {actuator.id: actuator for actuator in ACTUATORS}
+_TIME_MS = '"time_ms": '
 
 
 def read_script(source: Union[str, TextIO]) -> Tuple[Command, ...]:
-    """Read and check a whole script; its commands share the station's actuators."""
+    """Read and check a whole script; its commands share the station's actuators.
+    A line that is write_script's text of an (actuator, signal) an earlier
+    line has checked, around a JSON integer, is read from that text alone."""
     commands: List[Command] = []
+    checked: Dict[Tuple[str, str], Command] = {}  # by the writer's text around the time
     for number, line in _numbered_lines(_lines(source)):
         path = f"line {number}"
-        obj = _obj(_json_line(number, line), path)
-        _check_keys(obj, path, ["time_ms", "actuator", "signal"])
-        level = obj["signal"]
-        signal = _SIGNALS.get(level) if isinstance(level, str) else None
-        if signal is None:
-            raise SchemaViolationError(f"{path}.signal", "signal must be High or Low")
-        time = _int(obj["time_ms"], f"{path}.time_ms")
+        around, digits = _around_time(line, _TIME_MS)
+        seen = checked.get(around)
+        time = None if seen is None else _json_int(digits)
+        if time is None:
+            seen = None
+            obj = _obj(_json_line(number, line), path)
+            _check_keys(obj, path, ["time_ms", "actuator", "signal"])
+            level = obj["signal"]
+            signal = _SIGNALS.get(level) if isinstance(level, str) else None
+            if signal is None:
+                raise SchemaViolationError(f"{path}.signal", "signal must be High or Low")
+            time = _int(obj["time_ms"], f"{path}.time_ms")
         if commands and time < commands[-1].time:
             raise SchemaViolationError(
                 path, f"time_ms {time} is earlier than the previous line's {commands[-1].time}"
             )
-        name = obj["actuator"]
-        actuator = _ACTUATORS_BY_ID.get(name) if isinstance(name, str) else None
-        if actuator is None:
-            _component(name, f"{path}.actuator")  # a non-string or empty id has its own message
-            raise SchemaViolationError(f"{path}.actuator", f"unknown actuator: {name}")
-        commands.append(Command(time, actuator, signal))
+        if seen is None:  # read by json.loads: check the actuator, then seed the writer's text
+            name = obj["actuator"]
+            actuator = _ACTUATORS_BY_ID.get(name) if isinstance(name, str) else None
+            if actuator is None:
+                _component(name, f"{path}.actuator")  # a non-string or empty id has its own message
+                raise SchemaViolationError(f"{path}.actuator", f"unknown actuator: {name}")
+            seen = Command(time, actuator, signal)
+            checked[_around_time(script_to_lines([seen])[:-1], _TIME_MS)[0]] = seen
+        commands.append(Command(time, seen.actuator, seen.signal))
     return tuple(commands)
 
 
@@ -584,17 +590,21 @@ def write_report(out: TextIO, verdicts: Iterable) -> Iterator:
     their verdict_to_obj objects and a newline."""
     heads: Dict[int, Tuple[object, str]] = {}  # by id(rule); the entry keeps the rule alive
     events: Dict[Tuple[str, str, bool], Tuple[str, str]] = {}
+    outcomes: dict = {}  # the JSON text of each outcome
     sep = "[\n  "
     for verdict in verdicts:
         head = heads.get(id(verdict.rule))
         if head is None:  # the rule's keys, `topology` to `kind`
             text = json.dumps(verdict_to_obj(verdict), indent=2).replace("\n", "\n  ")
             head = heads[id(verdict.rule)] = verdict.rule, text.split(',\n    "cause_event"')[0]
+        outcome = outcomes.get(verdict.outcome)
+        if outcome is None:
+            outcome = outcomes[verdict.outcome] = json.dumps(verdict.outcome.value)
         witness = "null" if verdict.witness is None else _event_text(events, verdict.witness, 2)
         out.write(
             f'{sep}{head[1]},\n    "cause_event": {_event_text(events, verdict.cause_event, 2)},\n'
             f'    "window": [\n      {verdict.window[0]},\n      {verdict.window[1]}\n    ],\n'
-            f'    "outcome": {json.dumps(verdict.outcome.value)},\n    "witness": {witness},\n'
+            f'    "outcome": {outcome},\n    "witness": {witness},\n'
             f'    "decided_at": {verdict.decided_at}\n  }}'
         )
         sep = ",\n  "

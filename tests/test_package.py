@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -36,3 +38,31 @@ def imported_roots(path: pathlib.Path) -> set:
 def test_modules_import_only_the_standard_library(path):
     allowed = set(sys.stdlib_module_names) | {"capstation"}
     assert imported_roots(path) - allowed == set()
+
+
+ROOT = PACKAGE_DIR.parent.parent
+# runs one command through cli_main, then prints the capstation modules it loaded
+_LOADED_BY = (
+    "import sys; from capstation.cli import cli_main; cli_main(sys.argv[1:]); "
+    "print(*sorted(m for m in sys.modules if m.startswith('capstation')))"
+)
+
+
+@pytest.mark.parametrize("argv, needed, unneeded", [
+    (["monitor", "--trace", "tests/golden/simulate_nominal.jsonl", "--topology", "all"],
+     {"capstation.monitor", "capstation.wire"},
+     {"capstation.simulator", "capstation.dot", "capstation.scenarios"}),
+    (["simulate", "--scenario", "scenarios/nominal.jsonl", "--out", os.devnull],
+     {"capstation.simulator", "capstation.wire"},
+     {"capstation.monitor", "capstation.dot", "capstation.scenarios"}),
+], ids=["monitor", "simulate"])
+def test_each_command_loads_only_its_modules(argv, needed, unneeded):
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    run = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY, *argv], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stdout.splitlines()[-1].split())
+    assert needed <= loaded
+    assert loaded & unneeded == set()

@@ -12,6 +12,7 @@ from capstation.core.graph import EdgeAnn, TemporalConstraint, TemporalCorrelati
 from capstation.core.timing import TimeDurationRange, TimePoint, relative_duration
 from capstation.devices import (
     KNOWN_STATE_NAMES,
+    Command,
     DeviceKind,
     DeviceState,
     PhysicalEvent,
@@ -34,7 +35,7 @@ from capstation.monitor import (
     Verdict,
     compile_edge,
 )
-from capstation.station import SIGNAL_MAPPINGS, TopologyName, documented_edge
+from capstation.station import ACTUATORS, SIGNAL_MAPPINGS, TopologyName, documented_edge
 from capstation.wire import (
     catalog_to_obj,
     duration_to_obj,
@@ -44,6 +45,7 @@ from capstation.wire import (
     read_faults,
     read_script,
     read_trace,
+    script_to_lines,
     verdict_to_obj,
     write_report,
     write_script,
@@ -553,3 +555,122 @@ def mutated_station_traces(draw):
 def test_read_trace_equals_the_reference_reader(catalog, text):
     expected = _drain(_reference_trace(text, catalog.devices))
     assert _drain(read_trace(io.StringIO(text), kinds=catalog.devices)) == expected
+
+
+def _reference_script(text):
+    """read_script with every non-blank str.splitlines line read by json.loads and checked."""
+    actuators = {actuator.id: actuator for actuator in ACTUATORS}
+    commands = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        path = f"line {number}"
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # not JSON, too many digits, too deep
+            raise MalformedJsonError(f"line {number}: {exc}", line=number) from exc
+        if not isinstance(obj, dict):
+            raise SchemaViolationError(path, f"expected an object, got {type(obj).__name__}")
+        for key in ("time_ms", "actuator", "signal"):
+            if key not in obj:
+                raise SchemaViolationError(path, f"missing key {key!r}")
+        for key in obj:
+            if key not in ("time_ms", "actuator", "signal"):
+                raise SchemaViolationError(path, f"unexpected key {key!r}")
+        if obj["signal"] not in ("High", "Low") or not isinstance(obj["signal"], str):
+            raise SchemaViolationError(f"{path}.signal", "signal must be High or Low")
+        time = obj["time_ms"]
+        if isinstance(time, bool) or not isinstance(time, int):
+            raise SchemaViolationError(f"{path}.time_ms", f"expected an integer, got {time!r}")
+        if commands and time < commands[-1].time:
+            raise SchemaViolationError(
+                path, f"time_ms {time} is earlier than the previous line's {commands[-1].time}"
+            )
+        name = obj["actuator"]
+        if not isinstance(name, str) or not name:
+            raise SchemaViolationError(f"{path}.actuator", "expected a non-empty string")
+        if name not in actuators:
+            raise SchemaViolationError(f"{path}.actuator", f"unknown actuator: {name}")
+        commands.append(Command(time, actuators[name], Signal(obj["signal"])))
+    return tuple(commands)
+
+
+def _script_read(read, text):
+    """The commands read, or the error as (type, message, line)."""
+    try:
+        return read(text), None
+    except Exception as exc:
+        return None, (type(exc), str(exc), getattr(exc, "line", None))
+
+
+def _script_retimed(text):
+    return lambda objs, i, draw: json.dumps(objs[i]).replace(
+        f'"time_ms": {objs[i]["time_ms"]}', f'"time_ms": {text}'
+    )
+
+
+def _earlier(objs, i, draw):
+    """The line with a time before an earlier line's."""
+    before = objs[draw(st.integers(0, max(i - 1, 0)))]["time_ms"]
+    return json.dumps({**objs[i], "time_ms": before - draw(st.integers(0, 3))})
+
+
+_SCRIPT_MUTATIONS = {
+    "whitespace": lambda objs, i, draw: " " + json.dumps(objs[i], separators=_LOOSE) + "\t ",
+    "key-order": lambda objs, i, draw: json.dumps(_reversed(objs[i])),
+    "extra-key": lambda objs, i, draw: json.dumps({**objs[i], "extra": None}),
+    "duplicate-key": lambda objs, i, draw: json.dumps(objs[i])[:-1] + ', "time_ms": 0}',
+    "missing-key": _missing_key,
+    "earlier": _earlier,
+    "time-leading-zero": _script_retimed("01"),
+    "time-plus": _script_retimed("+1"),
+    "time-minus-zero": _script_retimed("-0"),
+    "time-float": _script_retimed("1.0"),
+    "time-true": _script_retimed("true"),
+    "time-arabic-indic": _script_retimed("\u0661\u0662"),
+    "time-fullwidth": _script_retimed("\uff11\uff12"),
+    "time-5000-digits": _script_retimed("1" * 5000),  # json.loads raises a plain ValueError
+    "time-space": _script_retimed(" 5"),
+    "unknown-actuator": lambda objs, i, draw: json.dumps({**objs[i], "actuator": "Ghost"}),
+    "empty-actuator": lambda objs, i, draw: json.dumps({**objs[i], "actuator": ""}),
+    "number-actuator": lambda objs, i, draw: json.dumps({**objs[i], "actuator": 5}),
+    "signal-dont-care": lambda objs, i, draw: json.dumps({**objs[i], "signal": "DC"}),
+    "crlf": lambda objs, i, draw: json.dumps(objs[i]) + "\r",
+    "blank-line-before": _blank_line_before,
+}
+
+
+@st.composite
+def mutated_scripts(draw):
+    """A script as write_script writes it, from a start time that may be
+    negative, with lines of the same actuator and both signals; then up to
+    three of its lines mutated, and maybe no newline after the last."""
+    changes = st.tuples(
+        st.sampled_from(ACTUATORS), st.sampled_from([Signal.HIGH, Signal.LOW]), st.integers(0, 900)
+    )
+    script, t = [], draw(st.integers(-5000, 1000))
+    for actuator, signal, gap in draw(st.lists(changes, min_size=1, max_size=30)):
+        t += gap
+        script.append(Command(t, actuator, signal))
+    lines = script_to_lines(script).splitlines()
+    objs = [json.loads(line) for line in lines]
+    last = len(lines) - 1
+    for i in draw(st.lists(st.integers(0, last).map(lambda k: last - k), max_size=3, unique=True)):
+        mutate = _SCRIPT_MUTATIONS[draw(st.sampled_from(sorted(_SCRIPT_MUTATIONS)))]
+        lines[i] = mutate(objs, i, draw)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+_EJECT_HIGH = '{"time_ms": 0, "actuator": "Eject Air Pulse", "signal": "High"}\n'
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_scripts())
+@example(_EJECT_HIGH + _EJECT_HIGH.replace(": 0,", ": 01,"))
+@example(_EJECT_HIGH + _EJECT_HIGH.replace("High", "Low"))
+@example(_EJECT_HIGH + _EJECT_HIGH.replace("Eject Air Pulse", "Loader Pickup"))
+def test_read_script_equals_the_reference_reader(text):
+    commands, error = _script_read(lambda text: read_script(io.StringIO(text)), text)
+    assert (commands, error) == _script_read(_reference_script, text)
+    # every command shares the station's actuator, not just an equal id
+    assert all(any(c.actuator is a for a in ACTUATORS) for c in commands or ())
