@@ -80,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_model_dump(args) -> int:
     from .dot import render_dot
-    from .wire import _write_text, catalog_to_obj, graph_to_obj
+    from .wire.common import _write_text
+    from .wire.model import catalog_to_obj, graph_to_obj
     catalog = build_catalog()
     out = sys.stdout if args.out == "-" else args.out
     if args.topology is None:
@@ -107,14 +108,20 @@ def _cmd_model_dump(args) -> int:
 
 def _cmd_simulate(args) -> int:
     from .simulator import stream_script
-    from .wire import read_faults, read_script, write_trace
+    from .wire.common import write_trace
+    from .wire.script import read_faults, read_script, script_file
     catalog = build_catalog()
-    script = read_script(sys.stdin if args.scenario == "-" else args.scenario)
-    faults = read_faults(args.faults) if args.faults else []
-    events = stream_script(
-        catalog, script, faults=faults, seed=args.seed, stack_count=args.stack_count
-    )
-    write_trace(sys.stdout if args.out == "-" else args.out, events)
+    # a script file is checked whole before its first command is simulated
+    if args.scenario == "-":
+        scenario = contextlib.nullcontext(read_script(sys.stdin))
+    else:
+        scenario = script_file(args.scenario)
+    with scenario as script:
+        faults = read_faults(args.faults) if args.faults else []
+        events = stream_script(
+            catalog, script, faults=faults, seed=args.seed, stack_count=args.stack_count
+        )
+        write_trace(sys.stdout if args.out == "-" else args.out, events)
     return 0
 
 
@@ -143,7 +150,8 @@ def _report_file(report: Optional[str], trace: str) -> Iterator[Optional[TextIO]
 
 def _cmd_monitor(args) -> int:
     from .monitor import MonitorConfig, Semantics, SequenceUnit, check_trace
-    from .wire import read_trace, write_report
+    from .wire.report import write_report
+    from .wire.trace import read_trace
     catalog = build_catalog()
     cfg = MonitorConfig(
         correlation_tolerance_ms=args.tolerance_ms,

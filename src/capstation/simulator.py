@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core.bemap import ComponentId
 from .core.timing import TimePoint
@@ -362,7 +362,7 @@ class Simulation:
         taken, self.events = self.events, []
         return taken
 
-    def stream(self, script: Sequence[Command]) -> Iterator[PhysicalEvent]:
+    def stream(self, script: Iterable[Command]) -> Iterator[PhysicalEvent]:
         """Run the script lazily: yield the events emitted so far (the
         initial readings), then each command's, then those of the final
         settle.  Yielded events leave `events`, so a run holds only the
@@ -379,13 +379,13 @@ class Simulation:
         self.settle()
         yield from self._taken()
 
-    def run(self, script: Sequence[Command]) -> List[PhysicalEvent]:
+    def run(self, script: Iterable[Command]) -> List[PhysicalEvent]:
         return list(self.stream(script))
 
 
 def run_script(
     catalog: StationCatalog,
-    script: Sequence[Command],
+    script: Iterable[Command],
     faults: Sequence[FaultSpec] = (),
     seed: int = 0,
     stack_count: int = 5,
@@ -397,15 +397,16 @@ def run_script(
 
 def stream_script(
     catalog: StationCatalog,
-    script: Sequence[Command],
+    script: Iterable[Command],
     faults: Sequence[FaultSpec] = (),
     seed: int = 0,
     stack_count: int = 5,
     latencies: Optional[LatencyTable] = None,
 ) -> Iterator[PhysicalEvent]:
     """Run a command script lazily, yielding its time-ordered event trace
-    as it is simulated.  The faults (errors name them `faults[i]`) and the
-    stack count are checked when this is called, before the first event.
+    as it is simulated.  The script is any iterable of commands, taken one
+    at a time.  The faults (errors name them `faults[i]`) and the stack
+    count are checked when this is called, before the first event.
 
     Deterministic for a fixed (script, faults, seed).  Latency overrides
     shift completion events; stuck sensors pin their reported state from

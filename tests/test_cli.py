@@ -3,8 +3,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -113,6 +117,11 @@ def test_dot_without_topology_is_a_usage_error(capsys):
 
 
 _DIGITS = "1" * 5000  # more than int() converts from a decimal string by default
+# a long valid script, then a bad line: a file is checked whole before any event is written
+_LONG_SCRIPT = "".join(
+    f'{{"time_ms": {100 * i}, "actuator": "Loader Pickup", "signal": "{("High", "Low")[i % 2]}"}}\n'
+    for i in range(5000)
+)
 
 
 @pytest.mark.parametrize(
@@ -155,6 +164,7 @@ _DIGITS = "1" * 5000  # more than int() converts from a decimal string by defaul
             f'{{"time_ms": {_DIGITS}, "actuator": "Loader Pickup", "signal": "Low"}}\n',
             "line 3: Exceeds the limit (",
         ),
+        (_LONG_SCRIPT + "{not json\n", "line 5001: "),
     ],
     ids=[
         "bad-json",
@@ -166,6 +176,7 @@ _DIGITS = "1" * 5000  # more than int() converts from a decimal string by defaul
         "list-signal",
         "object-signal",
         "too-many-digits",
+        "bad-line-after-5000",
     ],
 )
 def test_malformed_scenario_is_an_input_error(tmp_path, capsys, text, message):
@@ -420,6 +431,39 @@ def test_simulate_reads_scenario_from_stdin(tmp_path, capsys, monkeypatch):
     assert cli_main(["simulate", "--scenario", "-", "--out", str(trace)]) == 0
     assert len(trace.read_text().splitlines()) == 29
     capsys.readouterr()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+def test_a_script_fifo_gives_the_trace_of_the_script_file(tmp_path, capsys, golden_dir):
+    # a FIFO can be read only once, so it is read whole, not checked and reread
+    script = SCENARIOS / "two_cycles.jsonl"
+    fifo = tmp_path / "script.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(script.read_bytes()), daemon=True)
+    writer.start()
+    assert cli_main(["simulate", "--scenario", str(fifo), "--out", "-"]) == 0
+    writer.join(timeout=60)
+    from_fifo = capsys.readouterr().out
+    assert cli_main(["simulate", "--scenario", str(script), "--out", "-"]) == 0
+    assert from_fifo == capsys.readouterr().out
+    assert from_fifo == (golden_dir / "simulate_two_cycles.jsonl").read_text()
+
+
+def _has_vmhwm() -> bool:
+    try:
+        return "VmHWM:" in pathlib.Path("/proc/self/status").read_text()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_vmhwm(), reason="no VmHWM in /proc/self/status")
+def test_simulate_memory_stays_flat_as_the_script_grows():
+    # 1x and 5x the benchmark's 1,200 cycles: the peak may grow by 5 % at most
+    tool = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "simulate_memory.py"
+    run = subprocess.run(
+        [sys.executable, str(tool), "1200", "6000"], capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
 
 
 @pytest.mark.parametrize(

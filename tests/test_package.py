@@ -12,12 +12,15 @@ import pytest
 
 import capstation
 import capstation.core
+import capstation.wire
 
 PACKAGE_DIR = pathlib.Path(capstation.__file__).resolve().parent
 MODULES = sorted(PACKAGE_DIR.rglob("*.py"))
 
 
-@pytest.mark.parametrize("package", [capstation, capstation.core], ids=lambda p: p.__name__)
+@pytest.mark.parametrize(
+    "package", [capstation, capstation.core, capstation.wire], ids=lambda p: p.__name__
+)
 def test_every_exported_name_resolves(package):
     missing = [name for name in package.__all__ if not hasattr(package, name)]
     assert missing == []
@@ -50,11 +53,13 @@ _LOADED_BY = (
 
 @pytest.mark.parametrize("argv, needed, unneeded", [
     (["monitor", "--trace", "tests/golden/simulate_nominal.jsonl", "--topology", "all"],
-     {"capstation.monitor", "capstation.wire"},
-     {"capstation.simulator", "capstation.dot", "capstation.scenarios"}),
+     {"capstation.monitor", "capstation.wire.trace", "capstation.wire.report"},
+     {"capstation.simulator", "capstation.dot", "capstation.scenarios",
+      "capstation.wire.script", "capstation.wire.model"}),
     (["simulate", "--scenario", "scenarios/nominal.jsonl", "--out", os.devnull],
-     {"capstation.simulator", "capstation.wire"},
-     {"capstation.monitor", "capstation.dot", "capstation.scenarios"}),
+     {"capstation.simulator", "capstation.wire.script", "capstation.wire.common"},
+     {"capstation.monitor", "capstation.dot", "capstation.scenarios",
+      "capstation.wire.trace", "capstation.wire.report", "capstation.wire.model"}),
 ], ids=["monitor", "simulate"])
 def test_each_command_loads_only_its_modules(argv, needed, unneeded):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
@@ -66,3 +71,18 @@ def test_each_command_loads_only_its_modules(argv, needed, unneeded):
     loaded = set(run.stdout.splitlines()[-1].split())
     assert needed <= loaded
     assert loaded & unneeded == set()
+
+
+
+@pytest.mark.parametrize("part", sorted(capstation.wire._EXPORTS))
+def test_the_names_of_a_wire_part_load_only_that_part(part):
+    names = ", ".join(capstation.wire._EXPORTS[part])
+    code = (
+        f"import sys; from capstation.wire import {names}; "
+        "print(*sorted(m for m in sys.modules if m.startswith('capstation.wire.')))"
+    )
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert set(run.stdout.split()) == {"capstation.wire.common", f"capstation.wire.{part}"}

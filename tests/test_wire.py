@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import io
 import json
+import pathlib
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings
@@ -45,12 +47,14 @@ from capstation.wire import (
     read_faults,
     read_script,
     read_trace,
+    script_file,
     script_to_lines,
     verdict_to_obj,
     write_report,
     write_script,
     write_trace,
 )
+from capstation.wire.common import _BATCH_LINES
 
 GOLDEN_NAMES = {
     TopologyName.PROCESS_SEQUENCE: "process_sequence_edge.json",
@@ -214,6 +218,77 @@ def test_script_round_trip(tmp_path):
     path = tmp_path / "script.jsonl"
     write_script(str(path), nominal_script())
     assert read_script(str(path)) == nominal_script()
+
+
+@pytest.mark.parametrize("change, read", [("shorter", "2"), ("longer", "more")])
+def test_a_script_file_that_changes_between_its_two_reads_is_an_error(tmp_path, change, read):
+    from capstation.scenarios import nominal_script
+
+    path = tmp_path / "script.jsonl"
+    write_script(str(path), nominal_script())
+    lines = path.read_text().splitlines(keepends=True)
+    got = []
+    with script_file(str(path)) as commands:  # the first pass has checked every line
+        path.write_text("".join(lines[:2] if change == "shorter" else lines + lines[-1:]))
+        message = f"changed while it was read: {len(lines)} commands checked, then {read} read"
+        with pytest.raises(SchemaViolationError, match=message):
+            got.extend(commands)
+    assert got == list(nominal_script()[: len(got)])
+    assert len(got) == (2 if change == "shorter" else len(lines))
+
+
+def _station_events(count):
+    """`count` time-ordered events of one station sensor, in its two states by turns."""
+    device = ComponentId("Stack Empty")
+    mapping = SIGNAL_MAPPINGS[device]
+    return [
+        PhysicalEvent(device, DeviceKind.SENSOR, TimePoint(10 + 10 * i), (mapping.high, mapping.low)[i % 2])
+        for i in range(count)
+    ]
+
+
+def _line_per_event(events):
+    return "".join(json.dumps(event_to_obj(e)) + "\n" for e in events)
+
+
+class _CountedWrites(io.StringIO):
+    calls = 0
+
+    def write(self, text):
+        self.calls += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "count", [0, 1, _BATCH_LINES - 1, _BATCH_LINES, _BATCH_LINES + 1, 3 * _BATCH_LINES + 5]
+)
+def test_the_trace_is_written_in_batches_of_the_same_bytes(count):
+    events = _station_events(count)
+    out = _CountedWrites()
+    write_trace(out, events)
+    assert out.getvalue() == _line_per_event(events)
+    assert out.calls == -(-count // _BATCH_LINES)
+
+
+def _out_of_order(events):
+    first = events[0]
+    yield from events
+    yield PhysicalEvent(first.device, first.kind, TimePoint(first.timepoint.t - 1), first.state)
+
+
+def _failing(events):
+    yield from events
+    raise ValueError("the simulation failed")
+
+
+@pytest.mark.parametrize("stop", [_out_of_order, _failing], ids=["out-of-order", "source-error"])
+@pytest.mark.parametrize("k", [1, _BATCH_LINES - 1, _BATCH_LINES, _BATCH_LINES + 3])
+def test_a_stopped_trace_keeps_the_lines_before_the_stop(stop, k):
+    events = _station_events(k)
+    out = io.StringIO()
+    with pytest.raises((OutOfOrderEventError, ValueError)):
+        write_trace(out, stop(events))
+    assert out.getvalue() == _line_per_event(events)
 
 
 # -- structural round-trips over generated values -----------------------------------
@@ -603,6 +678,14 @@ def _script_read(read, text):
         return None, (type(exc), str(exc), getattr(exc, "line", None))
 
 
+def _script_file_read(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "script.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        with script_file(str(path)) as commands:
+            return tuple(commands)
+
+
 def _script_retimed(text):
     return lambda objs, i, draw: json.dumps(objs[i]).replace(
         f'"time_ms": {objs[i]["time_ms"]}', f'"time_ms": {text}'
@@ -672,5 +755,7 @@ _EJECT_HIGH = '{"time_ms": 0, "actuator": "Eject Air Pulse", "signal": "High"}\n
 def test_read_script_equals_the_reference_reader(text):
     commands, error = _script_read(lambda text: read_script(io.StringIO(text)), text)
     assert (commands, error) == _script_read(_reference_script, text)
+    # a script file is checked in a first pass, with the same errors, then read in a second
+    assert (commands, error) == _script_read(_script_file_read, text)
     # every command shares the station's actuator, not just an equal id
     assert all(any(c.actuator is a for a in ACTUATORS) for c in commands or ())
