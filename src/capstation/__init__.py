@@ -8,8 +8,9 @@ __version__ = "0.1.0"
 # the exported names of each submodule, imported when one is first read, so
 # that a process loads only the modules its command runs
 _EXPORTS = {
-    "monitor": ("MonitorConfig", "Outcome", "StreamMonitor", "check_spatial", "check_trace"),
+    "monitor": ("MonitorConfig", "Outcome", "StreamMonitor", "check_trace"),
     "simulator": ("Simulation", "run_script"),
+    "spatial": ("check_spatial",),
     "station": ("StationCatalog", "TopologyName", "build_catalog"),
     **dict.fromkeys(("core", "devices", "dot", "scenarios", "wire"), ()),
 }

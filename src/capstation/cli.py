@@ -110,6 +110,9 @@ def _cmd_simulate(args) -> int:
     from .simulator import stream_script
     from .wire.common import write_trace
     from .wire.script import read_faults, read_script, script_file
+    if args.scenario == args.faults == "-":
+        print("simulate: --scenario and --faults cannot both read stdin (-)", file=sys.stderr)
+        return 2
     catalog = build_catalog()
     # a script file is checked whole before its first command is simulated
     if args.scenario == "-":
@@ -117,7 +120,8 @@ def _cmd_simulate(args) -> int:
     else:
         scenario = script_file(args.scenario)
     with scenario as script:
-        faults = read_faults(args.faults) if args.faults else []
+        source = sys.stdin if args.faults == "-" else args.faults
+        faults = read_faults(source) if args.faults else []
         events = stream_script(
             catalog, script, faults=faults, seed=args.seed, stack_count=args.stack_count
         )
@@ -192,7 +196,7 @@ def _cmd_monitor(args) -> int:
 
 
 def _cmd_check_spatial(args) -> int:
-    from .monitor import check_spatial
+    from .spatial import check_spatial
     catalog = build_catalog()
     if args.devices:
         pool = [ComponentId(d) for d in args.devices]

@@ -6,19 +6,7 @@ from .graph import AnnotatedGraph, EdgeAnn, TemporalConstraint, TemporalCorrelat
 from .timing import TimeDuration, TimeDurationRange, TimePoint, relative_duration
 
 __all__ = [
-    "AnnotatedGraph",
-    "BeMapKV",
-    "Box3D",
-    "ComponentId",
-    "ComponentValue",
-    "EdgeAnn",
-    "TemporalConstraint",
-    "TemporalCorrelation",
-    "TimeDuration",
-    "TimeDurationRange",
-    "TimePoint",
-    "ValueKind",
-    "build_bemap",
-    "intersection_volume",
-    "relative_duration",
+    "AnnotatedGraph", "BeMapKV", "Box3D", "ComponentId", "ComponentValue", "EdgeAnn",
+    "TemporalConstraint", "TemporalCorrelation", "TimeDuration", "TimeDurationRange", "TimePoint",
+    "ValueKind", "build_bemap", "intersection_volume", "relative_duration",
 ]

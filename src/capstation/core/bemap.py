@@ -6,12 +6,11 @@ A description map behaves like a finite map with unique keys.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple
 
 from ..errors import DuplicateKeyError
 from .geometry import Box3D
-from .record import OrderedRecord
+from .record import OrderedRecord, Record
 
 
 class ComponentId(OrderedRecord):
@@ -47,8 +46,7 @@ class ValueKind(enum.Enum):
     STATE = "state"
 
 
-@dataclass(frozen=True)
-class ComponentValue:
+class ComponentValue(Record):
     """Tagged scalar attached to a description key.
 
     The tag is derived from the payload type: string, integer, occupancy
@@ -56,9 +54,10 @@ class ComponentValue:
     device state.  Exactly one payload is present by construction.
     """
 
-    value: object
+    __slots__ = ("value",)
 
-    def __post_init__(self):
+    def __init__(self, value: object):
+        self._set(value)
         self.kind  # reject unsupported payloads eagerly
 
     @property
@@ -86,19 +85,19 @@ class ComponentValue:
 Entry = Tuple[ComponentId, ComponentValue]
 
 
-@dataclass(frozen=True)
-class BeMapKV:
+class BeMapKV(Record):
     """Ordered key-value entries with pairwise-distinct keys."""
 
-    entries: tuple = field(default=())
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+    def __init__(self, entries: tuple = ()):
+        entries = tuple(entries)
         seen = set()
-        for key, _ in self.entries:
+        for key, _ in entries:
             if key in seen:
                 raise DuplicateKeyError(key)
             seen.add(key)
+        self._set(entries)
 
     def get(self, key: ComponentId) -> Optional[ComponentValue]:
         """Value of the unique entry with a matching key, or None."""

@@ -7,31 +7,19 @@ corner do not overlap: adjacent mounted parts share faces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import NegativeExtentError
+from .record import OrderedRecord
 
 
-@dataclass(frozen=True, order=True)
-class Box3D:
-    x1: int
-    y1: int
-    z1: int
-    x2: int
-    y2: int
-    z2: int
+class Box3D(OrderedRecord):
+    __slots__ = ("x1", "y1", "z1", "x2", "y2", "z2")
 
-    def __post_init__(self):
-        for name in ("x1", "y1", "z1", "x2", "y2", "z2"):
-            v = getattr(self, name)
+    def __init__(self, x1: int, y1: int, z1: int, x2: int, y2: int, z2: int):
+        for name, v in zip(Box3D.__slots__, (x1, y1, z1, x2, y2, z2)):
             if isinstance(v, bool) or not isinstance(v, int):
                 raise TypeError(f"box coordinate {name} must be an integer")
         # normalize corners so that (x1, y1, z1) is the min corner
-        for lo, hi in (("x1", "x2"), ("y1", "y2"), ("z1", "z2")):
-            a, b = getattr(self, lo), getattr(self, hi)
-            if a > b:
-                object.__setattr__(self, lo, b)
-                object.__setattr__(self, hi, a)
+        self._set(min(x1, x2), min(y1, y2), min(z1, z2), max(x1, x2), max(y1, y2), max(z1, z2))
 
     @classmethod
     def from_anchor(cls, x: int, y: int, z: int, w: int, d: int, h: int) -> "Box3D":

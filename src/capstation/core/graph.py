@@ -8,62 +8,57 @@ when `inverse` is set).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
 from .bemap import ComponentId
+from .record import Record
 from .timing import TimeDuration, TimeDurationRange
 
 
-@dataclass(frozen=True)
-class TemporalCorrelation:
+class TemporalCorrelation(Record):
     """Cause and effect state changes coincide with an exact delay."""
 
-    cause: object
-    duration: TimeDuration
-    effect: object
+    __slots__ = ("cause", "duration", "effect")
+
+    def __init__(self, cause, duration: TimeDuration, effect):
+        self._set(cause, duration, effect)
 
 
-@dataclass(frozen=True)
-class TemporalConstraint:
+class TemporalConstraint(Record):
     """Effect occurs (or, if inverse, must not occur) within a delay window."""
 
-    cause: object
-    range: TimeDurationRange
-    effect: object
-    inverse: bool = False
+    __slots__ = ("cause", "range", "effect", "inverse")
+
+    def __init__(self, cause, range: TimeDurationRange, effect, inverse: bool = False):
+        self._set(cause, range, effect, inverse)
 
 
-@dataclass(frozen=True)
-class EdgeAnn:
+class EdgeAnn(Record):
     """Directed edge with an optional relationship annotation.
 
     A plain edge is an annotated edge whose annotation is absent.
     """
 
-    source: ComponentId
-    target: ComponentId
-    annotation: Optional[object] = None
+    __slots__ = ("source", "target", "annotation")
 
-    def __post_init__(self):
-        if not isinstance(self.source, ComponentId) or not isinstance(self.target, ComponentId):
+    def __init__(self, source: ComponentId, target: ComponentId, annotation=None):
+        if not isinstance(source, ComponentId) or not isinstance(target, ComponentId):
             raise TypeError("edge endpoints must be component ids")
+        self._set(source, target, annotation)
 
 
-@dataclass(frozen=True)
-class AnnotatedGraph:
+class AnnotatedGraph(Record):
     """Ordered edge list; duplicate endpoint pairs need distinct annotations."""
 
-    edges: tuple = field(default=())
+    __slots__ = ("edges",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
+    def __init__(self, edges: tuple = ()):
+        edges = tuple(edges)
         seen = set()
-        for e in self.edges:
+        for e in edges:
             key = (e.source, e.target, e.annotation)
             if key in seen:
                 raise ValueError(f"duplicate edge: {e.source} -> {e.target}")
             seen.add(key)
+        self._set(edges)
 
     def nodes(self) -> frozenset:
         out = set()

@@ -1,11 +1,12 @@
-"""Immutable records with a frozen dataclass's methods, written once here
-instead of generated in each process that imports them.  A record names
-its fields in `__slots__` (after those of its bases, in `_fields`); its
-__init__ checks them and stores each with its slot's setter from
-`_setters`, which skips the record's __setattr__."""
+"""The package's one record idiom.  An immutable value is a Record, or an
+OrderedRecord if it orders.  It names its fields in `__slots__` (after its
+bases', in `_fields`), and its __init__ checks them and stores them with
+`_set`, past __setattr__.  It compares, hashes, prints, copies and pickles
+as a frozen dataclass would, by methods written here once, not generated in
+each process; one compared or hashed per event writes out its own.  Mutable
+run state is a plain class with `__slots__`."""
 
 import operator
-from dataclasses import FrozenInstanceError
 
 
 def _compare(op):
@@ -25,6 +26,11 @@ class Record:
         cls._fields = cls._fields + tuple(vars(cls).get("__slots__", ()))
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
+    def _set(self, *values) -> None:
+        """Store the fields' values, in `_fields` order."""
+        for set_field, value in zip(self._setters, values, strict=True):
+            set_field(self, value)
+
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
@@ -37,10 +43,13 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
+    # dataclasses is imported only when one of these raises: it loads inspect
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):  # copy and pickle rebuild a record through its __init__

@@ -9,10 +9,9 @@ writer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable
 
-from .record import OrderedRecord
+from .record import OrderedRecord, Record
 
 
 def _require_int(value, what: str) -> int:
@@ -30,25 +29,22 @@ class TimePoint(OrderedRecord):
         self._setters[0](self, t if type(t) is int else _require_int(t, "timepoint"))
 
 
-@dataclass(frozen=True)
-class TimeDuration:
+class TimeDuration(Record):
     """`offset_ms` after the instant the anchor state began; may be negative."""
 
-    anchor: Hashable
-    offset_ms: int
+    __slots__ = ("anchor", "offset_ms")
 
-    def __post_init__(self):
-        _require_int(self.offset_ms, "offset")
+    def __init__(self, anchor: Hashable, offset_ms: int):
+        self._set(anchor, _require_int(offset_ms, "offset"))
 
 
-@dataclass(frozen=True)
-class TimeDurationRange:
-    minimum: TimeDuration
-    maximum: TimeDuration
+class TimeDurationRange(Record):
+    __slots__ = ("minimum", "maximum")
 
-    def __post_init__(self):
-        if self.minimum.offset_ms > self.maximum.offset_ms:
+    def __init__(self, minimum: TimeDuration, maximum: TimeDuration):
+        if minimum.offset_ms > maximum.offset_ms:
             raise ValueError("duration range minimum exceeds its maximum")
+        self._set(minimum, maximum)
 
 
 def relative_duration(anchor: Hashable, offset_ms: int) -> TimeDuration:

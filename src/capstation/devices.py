@@ -12,7 +12,6 @@ side doesn't care.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .core.bemap import ComponentId
@@ -39,8 +38,7 @@ class DeviceState(Record):
     def __init__(self, name: str, signal: Signal):
         if not name:
             raise ValueError("state name must be non-empty")
-        self._setters[0](self, name)
-        self._setters[1](self, signal)
+        self._set(name, signal)
 
 
 def abstract_state(name: str) -> DeviceState:
@@ -72,22 +70,21 @@ KNOWN_STATE_NAMES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class SignalMapping:
+class SignalMapping(Record):
     """Per-device meaning of the two voltage levels.
 
     Total on {High, Low}; the two mapped states carry the matching concrete
     signal and distinct names.
     """
 
-    high: DeviceState
-    low: DeviceState
+    __slots__ = ("high", "low")
 
-    def __post_init__(self):
-        if self.high.signal is not Signal.HIGH or self.low.signal is not Signal.LOW:
+    def __init__(self, high: DeviceState, low: DeviceState):
+        if high.signal is not Signal.HIGH or low.signal is not Signal.LOW:
             raise ValueError("mapped states must carry their own signal level")
-        if self.high.name == self.low.name:
+        if high.name == low.name:
             raise ValueError("mapped states must have distinct names")
+        self._set(high, low)
 
     def __call__(self, signal: Signal) -> DeviceState:
         """Concrete state meant by a voltage level."""
@@ -119,19 +116,18 @@ def state_matches(spec: DeviceState, actual: DeviceState) -> bool:
     return spec.signal is Signal.DONT_CARE or spec.signal is actual.signal
 
 
-@dataclass(frozen=True)
-class SpatialVariationSet:
+class SpatialVariationSet(Record):
     """Mutually exclusive discrete positions a movable part can be in."""
 
-    name: str
-    positions: tuple
+    __slots__ = ("name", "positions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(self.positions))
-        if len(self.positions) < 2:
+    def __init__(self, name: str, positions: tuple):
+        positions = tuple(positions)
+        if len(positions) < 2:
             raise ValueError("a variation set needs at least two positions")
-        if len(set(self.positions)) != len(self.positions):
+        if len(set(positions)) != len(positions):
             raise ValueError("positions must be pairwise distinct")
+        self._set(name, positions)
 
 
 class PhysicalEvent(Record):
@@ -164,22 +160,25 @@ ACTIVATE = "activate"
 DEACTIVATE = "deactivate"
 
 
-@dataclass(frozen=True)
-class LatencyOverride:
-    device: ComponentId
-    latency_ms: int
-    transition: Optional[str] = None
+class LatencyOverride(Record):
+    __slots__ = ("device", "latency_ms", "transition")
+
+    def __init__(self, device: ComponentId, latency_ms: int, transition: Optional[str] = None):
+        self._set(device, latency_ms, transition)
 
 
-@dataclass(frozen=True)
-class StuckSensor:
-    device: ComponentId
-    state: DeviceState
+class StuckSensor(Record):
+    __slots__ = ("device", "state")
+
+    def __init__(self, device: ComponentId, state: DeviceState):
+        self._set(device, state)
 
 
-@dataclass(frozen=True)
-class DropEvents:
-    device: ComponentId
+class DropEvents(Record):
+    __slots__ = ("device",)
+
+    def __init__(self, device: ComponentId):
+        self._set(device)
 
 
 FaultSpec = Union[LatencyOverride, StuckSensor, DropEvents]

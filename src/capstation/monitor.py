@@ -1,4 +1,4 @@
-"""Streaming verifier for temporal topology rules and spatial consistency.
+"""Streaming verifier for temporal topology rules.
 
 Each topology edge compiles to a rule: when a cause state-change occurs on
 the source device at time tc, the effect state-change must occur on the
@@ -47,11 +47,9 @@ import enum
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .core.bemap import ComponentId
-from .core.geometry import intersection_volume
 from .core.graph import AnnotatedGraph, EdgeAnn, TemporalConstraint, TemporalCorrelation
 from .core.record import Record
 from .devices import DeviceState, PhysicalEvent, Signal, state_matches
@@ -69,15 +67,16 @@ class SequenceUnit(enum.Enum):
     MILLISECONDS = "milliseconds"
 
 
-@dataclass(frozen=True)
-class MonitorConfig:
-    correlation_tolerance_ms: int = 0
-    sequence_unit: SequenceUnit = SequenceUnit.SECONDS
-    semantics: Semantics = Semantics.EVENT_OCCURRENCE
+class MonitorConfig(Record):
+    __slots__ = ("correlation_tolerance_ms", "sequence_unit", "semantics")
 
-    def __post_init__(self):
-        if self.correlation_tolerance_ms < 0:
+    def __init__(
+        self, correlation_tolerance_ms: int = 0, sequence_unit: SequenceUnit = SequenceUnit.SECONDS,
+        semantics: Semantics = Semantics.EVENT_OCCURRENCE,
+    ):
+        if correlation_tolerance_ms < 0:
             raise ValueError("tolerance must be non-negative")
+        self._set(correlation_tolerance_ms, sequence_unit, semantics)
 
 
 class RuleKind(enum.Enum):
@@ -85,20 +84,20 @@ class RuleKind(enum.Enum):
     CONSTRAINT = "constraint"
 
 
-@dataclass(frozen=True)
-class CompiledRule:
+class CompiledRule(Record):
     """One topology edge reduced to concrete window arithmetic."""
 
-    index: int
-    topology: str
-    source: ComponentId
-    target: ComponentId
-    cause: DeviceState
-    effect: DeviceState
-    min_ms: int
-    max_ms: int
-    inverse: bool
-    kind: RuleKind
+    __slots__ = (
+        "index", "topology", "source", "target", "cause", "effect", "min_ms", "max_ms", "inverse",
+        "kind",
+    )
+
+    def __init__(
+        self, index: int, topology: str, source: ComponentId, target: ComponentId,
+        cause: DeviceState, effect: DeviceState, min_ms: int, max_ms: int, inverse: bool,
+        kind: RuleKind,
+    ):
+        self._set(index, topology, source, target, cause, effect, min_ms, max_ms, inverse, kind)
 
     def label(self) -> str:
         return (
@@ -183,15 +182,16 @@ class Verdict(Record):
         return self.cause_event.timepoint.t
 
 
-@dataclass(eq=False)
 class _Obligation:
-    rule: CompiledRule
-    cause_event: PhysicalEvent
-    lo: int
-    hi: int
-    # state holds only: whether the window start is checked, and the state there
-    entered: bool = False
-    last_target_event: Optional[PhysicalEvent] = None
+    __slots__ = ("rule", "cause_event", "lo", "hi", "entered", "last_target_event")
+
+    def __init__(
+        self, rule: CompiledRule, cause_event: PhysicalEvent, lo: int, hi: int,
+        entered: bool = False, last_target_event: Optional[PhysicalEvent] = None,
+    ):
+        self.rule, self.cause_event, self.lo, self.hi = rule, cause_event, lo, hi
+        # state holds only: whether the window start is checked, and the state there
+        self.entered, self.last_target_event = entered, last_target_event
 
 
 _Decision = Optional[Tuple[Outcome, Optional[PhysicalEvent]]]
@@ -466,37 +466,8 @@ def violations(verdicts: Iterable[Verdict]) -> List[Verdict]:
     return [v for v in verdicts if v.outcome.is_violation]
 
 
-# -- spatial consistency ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpatialPair:
-    device_a: ComponentId
-    device_b: ComponentId
-    overlap: bool
-    shared_volume: int
-
-
-@dataclass(frozen=True)
-class SpatialReport:
-    pairs: Tuple[SpatialPair, ...]
-
-    @property
-    def overlapping(self) -> Tuple[SpatialPair, ...]:
-        return tuple(p for p in self.pairs if p.overlap)
-
-    @property
-    def has_overlap(self) -> bool:
-        return any(p.overlap for p in self.pairs)
-
-
-def check_spatial(
-    catalog: StationCatalog, devices: Optional[Iterable[ComponentId]] = None
-) -> SpatialReport:
-    """Pairwise overlap of the located devices, or of `devices` (symmetric pairs once)."""
-    boxes = catalog.boxes(catalog.devices if devices is None else devices)
-    pairs = []
-    for a, b in itertools.combinations(boxes, 2):
-        shared = intersection_volume(boxes[a], boxes[b])
-        pairs.append(SpatialPair(a, b, shared > 0, shared))
-    return SpatialReport(tuple(pairs))
+def __getattr__(name: str):  # check_spatial is in .spatial, which a monitor process never loads
+    if name != "check_spatial":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .spatial import check_spatial
+    return check_spatial

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core.bemap import ComponentId
+from .core.record import Record
 from .core.timing import TimePoint
 from .devices import ACTIVATE, DEACTIVATE, Command, DeviceKind, DeviceState, DropEvents
 from .devices import FaultSpec, LatencyOverride, PhysicalEvent, Signal, StuckSensor
@@ -63,11 +63,11 @@ _POSITION_SENSOR = {
 }
 
 
-@dataclass
 class _Motion:
-    target: object
-    start: int
-    end: int
+    __slots__ = ("target", "start", "end")
+
+    def __init__(self, target: object, start: int, end: int):
+        self.target, self.start, self.end = target, start, end
 
     def progress(self, now: int) -> float:
         span = self.end - self.start
@@ -76,22 +76,24 @@ class _Motion:
         return min(1.0, max(0.0, (now - self.start) / span))
 
 
-@dataclass
 class _Axis:
     """One mechanical degree of freedom: a settled position plus an
     optional motion in flight.  Sensor values derive from the settled
     position only."""
 
-    settled: object
-    motion: Optional[_Motion] = None
+    __slots__ = ("settled", "motion")
+
+    def __init__(self, settled: object, motion: Optional[_Motion] = None):
+        self.settled, self.motion = settled, motion
 
 
-@dataclass(frozen=True)
-class LatencyTable:
+class LatencyTable(Record):
     """Motion durations in ms, keyed by (actuator, transition)."""
 
-    durations: Dict[Tuple[ComponentId, str], int]
-    jitter_ms: int = 0
+    __slots__ = ("durations", "jitter_ms")
+
+    def __init__(self, durations: Dict[Tuple[ComponentId, str], int], jitter_ms: int = 0):
+        self._set(durations, jitter_ms)
 
     def get(self, device: ComponentId, transition: str) -> int:
         try:
@@ -129,23 +131,21 @@ def default_latency_table(jitter_ms: int = 0) -> LatencyTable:
     )
 
 
-@dataclass
 class StationState:
     """Mutable machine state owned by a single simulation run."""
 
-    stack_count: int
-    clock: int = 0
-    ejector: _Axis = field(default_factory=lambda: _Axis(EjectorPosition.RETRACTED))
-    arm: _Axis = field(default_factory=lambda: _Axis(ArmPosition.AT_PICKUP))
-    vacuum_on: bool = False
-    gripped: bool = False
-    cap_at_pickup_spot: bool = False
-    grip_eta: Optional[int] = None
-    eject_eta: Optional[int] = None
-    actuator_signals: Dict[ComponentId, Signal] = field(default_factory=dict)
-    caps_pushed: int = 0
-    caps_delivered: int = 0
-    caps_lost: int = 0
+    __slots__ = (
+        "stack_count", "clock", "ejector", "arm", "vacuum_on", "gripped", "cap_at_pickup_spot",
+        "grip_eta", "eject_eta", "actuator_signals", "caps_pushed", "caps_delivered", "caps_lost",
+    )
+
+    def __init__(self, stack_count: int):
+        self.stack_count, self.clock = stack_count, 0
+        self.ejector, self.arm = _Axis(EjectorPosition.RETRACTED), _Axis(ArmPosition.AT_PICKUP)
+        self.vacuum_on = self.gripped = self.cap_at_pickup_spot = False
+        self.grip_eta = self.eject_eta = None  # when the pending grip and eject complete
+        self.actuator_signals: Dict[ComponentId, Signal] = {}
+        self.caps_pushed = self.caps_delivered = self.caps_lost = 0
 
 
 class Simulation:

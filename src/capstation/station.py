@@ -23,12 +23,12 @@ can separate documented fixtures from glue.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .core.bemap import BeMapKV, ComponentId, ComponentValue
 from .core.geometry import Box3D
 from .core.graph import AnnotatedGraph, EdgeAnn, TemporalConstraint, TemporalCorrelation
+from .core.record import Record
 from .core.timing import TimeDurationRange, relative_duration
 from .devices import (
     ACTIVE,
@@ -297,8 +297,7 @@ _EDGE_TABLE = (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StationCatalog:
+class StationCatalog(Record):
     """Immutable station model: device kinds, descriptions, topologies.
 
     `synthetic_edges` holds (topology, source, target) triples of edges not
@@ -306,11 +305,14 @@ class StationCatalog:
     (device, description key) pairs whose values are placeholders.
     """
 
-    devices: Mapping[ComponentId, DeviceKind]
-    descriptions: Mapping[ComponentId, BeMapKV]
-    topologies: Mapping[TopologyName, AnnotatedGraph]
-    synthetic_edges: frozenset
-    synthetic_entries: frozenset
+    __slots__ = ("devices", "descriptions", "topologies", "synthetic_edges", "synthetic_entries")
+
+    def __init__(
+        self, devices: Mapping[ComponentId, DeviceKind], descriptions: Mapping[ComponentId, BeMapKV],
+        topologies: Mapping[TopologyName, AnnotatedGraph], synthetic_edges: frozenset,
+        synthetic_entries: frozenset,
+    ):
+        self._set(devices, descriptions, topologies, synthetic_edges, synthetic_entries)
 
     def kind(self, device: ComponentId) -> DeviceKind:
         try:

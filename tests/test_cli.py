@@ -433,6 +433,26 @@ def test_simulate_reads_scenario_from_stdin(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_simulate_reads_faults_from_stdin(capsys, golden_dir, monkeypatch):
+    faults = (SCENARIOS / "faults_late_extension.json").read_text(encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(faults))
+    argv = ["--scenario", str(SCENARIOS / "nominal.jsonl"), "--faults", "-", "--out", "-"]
+    assert cli_main(["simulate", *argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (golden_dir / "simulate_nominal_late_extension.jsonl").read_text()
+    assert captured.err == ""
+
+
+def test_scenario_and_faults_cannot_both_read_stdin(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[]\n"))
+    out = tmp_path / "trace.jsonl"
+    assert cli_main(["simulate", "--scenario", "-", "--faults", "-", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "simulate: --scenario and --faults cannot both read stdin (-)\n"
+    assert sys.stdin.tell() == 0 and not out.exists()
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
 def test_a_script_fifo_gives_the_trace_of_the_script_file(tmp_path, capsys, golden_dir):
     # a FIFO can be read only once, so it is read whole, not checked and reread

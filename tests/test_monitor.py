@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import io
 import tracemalloc
 
@@ -30,17 +29,18 @@ from capstation.monitor import (
     Semantics,
     SequenceUnit,
     StreamMonitor,
-    check_spatial,
     check_trace,
     compile_topology,
     violations,
 )
+from capstation.spatial import check_spatial
 from capstation.station import (
     LOADER_PICKUP,
     STACK_EJECTOR_EXTEND,
     STACK_EJECTOR_EXTENDED,
     STACK_EJECTOR_RETRACTED,
     SIGNAL_MAPPINGS,
+    StationCatalog,
     TopologyName,
 )
 from capstation.wire import read_trace, write_trace
@@ -378,8 +378,9 @@ def test_self_pairs_are_excluded(catalog):
 def test_injected_duplicate_box_overlaps_fully(catalog):
     probe = ComponentId("Probe")
     duplicate = catalog.description(STACK_EJECTOR_EXTENDED)
-    probed = dataclasses.replace(
-        catalog, descriptions={**catalog.descriptions, probe: duplicate}
+    probed = StationCatalog(
+        catalog.devices, {**catalog.descriptions, probe: duplicate}, catalog.topologies,
+        catalog.synthetic_edges, catalog.synthetic_entries,
     )
     report = check_spatial(probed, devices=[STACK_EJECTOR_EXTENDED, probe])
     assert report.has_overlap

@@ -43,22 +43,46 @@ def test_modules_import_only_the_standard_library(path):
     assert imported_roots(path) - allowed == set()
 
 
+def imported_at_import_time(path: pathlib.Path) -> set:
+    """Every module that an import statement outside a function body names."""
+    names = set()
+    pending = list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue  # runs when called, not when the module is imported
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+        pending.extend(ast.iter_child_nodes(node))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE_DIR)))
+def test_no_module_imports_dataclasses_when_it_is_imported(path):
+    # dataclasses loads inspect, and a @dataclass generates its methods in each process
+    assert {"dataclasses", "inspect"} & imported_at_import_time(path) == set()
+
+
 ROOT = PACKAGE_DIR.parent.parent
-# runs one command through cli_main, then prints the capstation modules it loaded
+# runs one command through cli_main, then prints the capstation modules it
+# loaded and whether dataclasses or inspect was loaded
 _LOADED_BY = (
     "import sys; from capstation.cli import cli_main; cli_main(sys.argv[1:]); "
-    "print(*sorted(m for m in sys.modules if m.startswith('capstation')))"
+    "print(*sorted(m for m in sys.modules if m.startswith('capstation'))); "
+    "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
 )
 
 
 @pytest.mark.parametrize("argv, needed, unneeded", [
     (["monitor", "--trace", "tests/golden/simulate_nominal.jsonl", "--topology", "all"],
      {"capstation.monitor", "capstation.wire.trace", "capstation.wire.report"},
-     {"capstation.simulator", "capstation.dot", "capstation.scenarios",
+     {"capstation.simulator", "capstation.spatial", "capstation.dot", "capstation.scenarios",
       "capstation.wire.script", "capstation.wire.model"}),
     (["simulate", "--scenario", "scenarios/nominal.jsonl", "--out", os.devnull],
      {"capstation.simulator", "capstation.wire.script", "capstation.wire.common"},
-     {"capstation.monitor", "capstation.dot", "capstation.scenarios",
+     {"capstation.monitor", "capstation.spatial", "capstation.dot", "capstation.scenarios",
       "capstation.wire.trace", "capstation.wire.report", "capstation.wire.model"}),
 ], ids=["monitor", "simulate"])
 def test_each_command_loads_only_its_modules(argv, needed, unneeded):
@@ -68,9 +92,11 @@ def test_each_command_loads_only_its_modules(argv, needed, unneeded):
         [sys.executable, "-c", _LOADED_BY, *argv], cwd=ROOT, env=env, capture_output=True, text=True
     )
     assert run.returncode == 0, run.stderr
-    loaded = set(run.stdout.splitlines()[-1].split())
+    *_, modules, generators = run.stdout.split("\n")[:-1]
+    loaded = set(modules.split())
     assert needed <= loaded
     assert loaded & unneeded == set()
+    assert generators == ""  # neither dataclasses nor inspect
 
 
 
