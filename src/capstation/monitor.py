@@ -35,10 +35,14 @@ by its window elapsing (Satisfied).  Opening looks back only for a negative
 minimum, and only at events inside the window.
 
 State holds: the target device's inferred state must equal (inverse: never
-equal) the effect state throughout the window.  Opening steps through all
-the target's retained events, which also settle the state at the window
-start.  A live event at t settles the states before t and the end of the
-stream settles t itself, so at finalize both window ends are inclusive.
+equal) the effect state throughout the window.  Opening steps through the
+last retained event at or before the window start, which settles the state
+there, then the in-window ones.  A live event at t settles the states before
+t and the end of the stream settles t itself, so at finalize both window
+ends are inclusive.
+
+State is sliced by device (Chen & Rosu, TACAS 2009): one table entry holds a
+device's rules, its open obligations and retained events, one lookup away.
 """
 
 from __future__ import annotations
@@ -46,7 +50,9 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+from bisect import bisect_right
 from collections import deque
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .core.bemap import ComponentId
@@ -183,15 +189,31 @@ class Verdict(Record):
 
 
 class _Obligation:
-    __slots__ = ("rule", "cause_event", "lo", "hi", "entered", "last_target_event")
+    __slots__ = ("rule", "cause_event", "lo", "hi", "target", "entered", "last_target_event")
 
     def __init__(
-        self, rule: CompiledRule, cause_event: PhysicalEvent, lo: int, hi: int,
-        entered: bool = False, last_target_event: Optional[PhysicalEvent] = None,
+        self, rule: CompiledRule, cause_event: PhysicalEvent, lo: int, hi: int, target: "_Device"
     ):
         self.rule, self.cause_event, self.lo, self.hi = rule, cause_event, lo, hi
+        self.target = target  # the table entry of rule.target
         # state holds only: whether the window start is checked, and the state there
-        self.entered, self.last_target_event = entered, last_target_event
+        self.entered, self.last_target_event = False, None
+
+
+class _Device:
+    """A device's table entry: the rules its events open, with their target's
+    entry, by cause state name in rule order; the open obligations on it, in
+    opening order (a dict as an ordered set: O(1) removal); its retained
+    events, None when no opening looks back on them; the last one pruned."""
+
+    __slots__ = ("causes", "open", "history", "pruned")
+
+    def __init__(self):
+        self.causes, self.open, self.history, self.pruned = {}, {}, None, None
+
+
+_IDLE = _Device()  # the shared entry of every device no rule names; it stays empty
+_event_time = attrgetter("timepoint.t")
 
 
 _Decision = Optional[Tuple[Outcome, Optional[PhysicalEvent]]]
@@ -200,7 +222,7 @@ _Decision = Optional[Tuple[Outcome, Optional[PhysicalEvent]]]
 def _step_event(ob: _Obligation, event: Optional[PhysicalEvent], t: int) -> _Decision:
     """Event occurrence: a matching effect event decides, an elapsed window expires."""
     rule = ob.rule
-    matched = event is not None and event.device == rule.target
+    matched = event is not None and event.device.id == rule.target.id
     if matched and state_matches(rule.effect, event.state):
         if not rule.inverse:
             if t < ob.lo:
@@ -233,7 +255,7 @@ def _step_state(ob: _Obligation, event: Optional[PhysicalEvent], t: int) -> _Dec
             return broken, start
     if ob.entered and settled >= ob.hi:
         return Outcome.SATISFIED, None
-    if event is None or event.device != rule.target:
+    if event is None or event.device.id != rule.target.id:
         return None
     if not ob.entered:
         ob.last_target_event = event
@@ -267,32 +289,32 @@ class StreamMonitor:
         known_devices: Optional[Iterable[ComponentId]] = None,
     ):
         rules = list(rules)
-        self._step, self._wake = _STEPS[(cfg or MonitorConfig()).semantics]
+        semantics = (cfg or MonitorConfig()).semantics
+        self._step, self._wake = _STEPS[semantics]
+        self._state_holds = semantics is Semantics.STATE_HOLDS
         self.horizon = auto_horizon(rules)
-        # every dict below is keyed by ComponentId.id: a str caches its hash
-        self.known = None if known_devices is None else {d.id for d in known_devices}
-        # the rules each source's events of each cause state name can open,
-        # in rule order; a device that causes nothing costs one lookup
-        self._rules_by_cause: Dict[str, Dict[str, List[CompiledRule]]] = {}
+        # an entry per device a rule names, by ComponentId.id (a str caches its
+        # hash); targets keep their events in state holds, and in event
+        # occurrence those of a rule with a negative minimum
+        named: Dict[str, _Device] = {}
         for rule in rules:
-            by_name = self._rules_by_cause.setdefault(rule.source.id, {})
-            by_name.setdefault(rule.cause.name, []).append(rule)
+            source = named.setdefault(rule.source.id, _Device())
+            target = named.setdefault(rule.target.id, _Device())
+            if target.history is None and (self._state_holds or rule.min_ms < 0):
+                target.history = deque()
+            source.causes.setdefault(rule.cause.name, []).append((rule, target))
+        self._named = list(named.values())
+        # the devices ingest accepts; any other maps to self._other (None: rejected)
+        self._devices, self._other = named, _IDLE
+        if known_devices is not None:
+            self._devices = {d.id: named.get(d.id, _IDLE) for d in known_devices}
+            self._other = None
         self.last_time: Optional[int] = None
-        # open obligations of each rule target, in opening order (a dict as an
-        # ordered set, so that removal is O(1))
-        self._open_on: Dict[str, Dict[_Obligation, None]] = {r.target.id: {} for r in rules}
         # one (wake time, tie-break, obligation) entry per open obligation,
         # its time never later than the obligation's wake time; entries of
         # decided obligations are dropped when popped
         self._wakes: List[Tuple[int, int, _Obligation]] = []
         self._tie = itertools.count()
-        # retained events of each rule target that opening steps through:
-        # in state holds every target's, in event occurrence those of
-        # targets of a rule with a negative minimum
-        self._history: Dict[str, deque] = {
-            r.target.id: deque() for r in rules if self._step is _step_state or r.min_ms < 0
-        }
-        self._pruned_last: Dict[str, PhysicalEvent] = {}
 
     def _decide(
         self, ob: _Obligation, outcome: Outcome, witness: Optional[PhysicalEvent], at: int
@@ -300,73 +322,64 @@ class StreamMonitor:
         """Every verdict is built here, from the obligation it decides."""
         return Verdict(ob.rule, ob.cause_event, outcome, witness, at, (ob.lo, ob.hi))
 
-    def _retained(self, device: str, now: int) -> Optional[deque]:
-        """The retained events of a rule target, pruned to the horizon before `now`."""
-        events = self._history.get(device)
-        if events is not None:
-            cutoff = now - self.horizon
-            while events and events[0].timepoint.t < cutoff:
-                self._pruned_last[device] = events.popleft()
-        return events
-
-    def _lookback(self, ob: _Obligation, retained: Optional[deque]) -> Iterable[PhysicalEvent]:
-        """Retained events of ob's target that opening steps ob through, oldest first."""
-        if self._step is _step_state:  # those up to the window start settle its state
-            return retained
-        if ob.rule.min_ms >= 0:
-            return ()
-        return (p for p in retained if ob.lo <= p.timepoint.t <= ob.hi)
+    def _look_back(self, ob: _Obligation, history: deque) -> _Decision:
+        """The first decision of stepping ob through the target events that can decide it."""
+        if self._state_holds:  # the state at lo: the last event at or before it, else the pruned
+            ob.last_target_event = ob.target.pruned
+            first = bisect_right(history, ob.lo, key=_event_time)
+            past = itertools.islice(history, max(first - 1, 0), None)
+        elif ob.rule.min_ms < 0:
+            past = (p for p in history if ob.lo <= p.timepoint.t <= ob.hi)
+        else:
+            return None
+        step = self._step
+        for event in past:
+            decided = step(ob, event, event.timepoint.t)
+            if decided is not None:
+                return decided
+        return None
 
     def _schedule(self, ob: _Obligation) -> None:
         heapq.heappush(self._wakes, (self._wake(ob), next(self._tie), ob))
 
-    def _open(self, cause: PhysicalEvent, t: int, out: List[Verdict]) -> None:
-        by_name = self._rules_by_cause.get(cause.device.id)
-        if by_name is None:
-            return
+    def _open(self, source: _Device, cause: PhysicalEvent, t: int, out: List[Verdict]) -> None:
         state = cause.state
-        for rule in by_name.get(state.name, ()):
+        for rule, target in source.causes.get(state.name, ()):
             wanted = rule.cause.signal  # the name matches, so state_matches reduces to this
             if wanted is not state.signal and wanted is not Signal.DONT_CARE:
                 continue
-            target = rule.target.id
-            retained = self._retained(target, t)
-            ob = _Obligation(
-                rule, cause, t + rule.min_ms, t + rule.max_ms,
-                last_target_event=self._pruned_last.get(target),
-            )
-            for past in self._lookback(ob, retained):
-                decided = self._step(ob, past, past.timepoint.t)
+            ob = _Obligation(rule, cause, t + rule.min_ms, t + rule.max_ms, target)
+            if target.history is not None:
+                decided = self._look_back(ob, target.history)
                 if decided is not None:
                     out.append(self._decide(ob, *decided, t))
-                    break
-            else:
-                self._open_on[target][ob] = None
-                self._schedule(ob)
+                    continue
+            target.open[ob] = None
+            self._schedule(ob)
 
     def ingest(self, event: PhysicalEvent) -> List[Verdict]:
         """Feed the next event; returns the verdicts it decided, in no promised order."""
-        device = event.device.id
-        if self.known is not None and device not in self.known:
+        device = self._devices.get(event.device.id, self._other)
+        if device is None:
             raise UnknownDeviceError(event.device)
         t = event.timepoint.t
         if self.last_time is not None and t < self.last_time:
             raise OutOfOrderEventError(f"event at {t} after event at {self.last_time}")
         self.last_time = t
         out: List[Verdict] = []
-        self._open(event, t, out)
+        if device.causes:
+            self._open(device, event, t, out)
         step = self._step
-        mine = self._open_on.get(device)
+        mine = device.open
         if mine:
-            for ob in list(mine):
-                decided = step(ob, event, t)
-                if decided is not None:
-                    del mine[ob]
-                    out.append(self._decide(ob, *decided, t))
+            # decided after the loop: a dict must not change size while iterated
+            for ob, decided in [(ob, d) for ob in mine if (d := step(ob, event, t)) is not None]:
+                del mine[ob]
+                out.append(self._decide(ob, *decided, t))
         wakes = self._wakes
         while wakes and wakes[0][0] <= t:
             ob = heapq.heappop(wakes)[2]
-            bucket = self._open_on[ob.rule.target.id]
+            bucket = ob.target.open
             if ob not in bucket:
                 continue
             # a step on its own device may have moved its wake time past t
@@ -377,9 +390,12 @@ class StreamMonitor:
                     out.append(self._decide(ob, *decided, t))
                     continue
             self._schedule(ob)
-        retained = self._retained(device, t)
-        if retained is not None:
-            retained.append(event)
+        history = device.history
+        if history is not None:  # pruned to the horizon before t
+            cutoff = t - self.horizon
+            while history and history[0].timepoint.t < cutoff:
+                device.pruned = history.popleft()
+            history.append(event)
         return out
 
     def finalize(self, end_time: int) -> List[Verdict]:
@@ -390,11 +406,11 @@ class StreamMonitor:
         if self.last_time is not None and end_time < self.last_time:
             raise ValueError("end time precedes the last ingested event")
         out: List[Verdict] = []
-        for bucket in self._open_on.values():
-            for ob in bucket:
+        for device in self._named:
+            for ob in device.open:
                 outcome, witness = self._step(ob, None, end_time) or (Outcome.PENDING, None)
                 out.append(self._decide(ob, outcome, witness, end_time))
-            bucket.clear()
+            device.open.clear()
         self._wakes.clear()
         return out
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capstation import monitor as monitor_module
 from capstation.core.bemap import ComponentId
 from capstation.core.timing import TimePoint
 from capstation.devices import (
@@ -29,6 +30,7 @@ from capstation.monitor import (
     Semantics,
     SequenceUnit,
     StreamMonitor,
+    auto_horizon,
     check_trace,
     compile_topology,
     violations,
@@ -44,6 +46,7 @@ from capstation.station import (
     TopologyName,
 )
 from capstation.wire import read_trace, write_trace
+from oracle import monitor_entries, oracle_entries
 
 EXT = STACK_EJECTOR_EXTEND
 RET = STACK_EJECTOR_RETRACTED
@@ -179,6 +182,54 @@ def test_unknown_devices_rejected_when_catalog_bound(catalog):
         mon.ingest(ev(ComponentId("Ghost"), 0, ACTIVE_HIGH))
 
 
+@pytest.mark.parametrize("missing", [EXT, RET], ids=["source", "target"])
+def test_a_rule_device_missing_from_known_devices_is_rejected(missing):
+    mon = StreamMonitor([CAUSALITY_RULE], known_devices=[d for d in (EXT, RET) if d != missing])
+    with pytest.raises(UnknownDeviceError):
+        mon.ingest(ev(missing, 0, ACTIVE_HIGH if missing == EXT else UNOBSTRUCTED_LOW))
+
+
+def test_any_device_is_accepted_without_known_devices():
+    mon = StreamMonitor([CAUSALITY_RULE])
+    ghost = ComponentId("Ghost")
+    events = [ev(EXT, 1000, ACTIVE_HIGH), ev(ghost, 1100, ACTIVE_HIGH), ev(RET, 1250, UNOBSTRUCTED_LOW)]
+    assert [v.outcome for v in feed(mon, events, end=2000)] == [Outcome.SATISFIED]
+
+
+def _mixed_trace():
+    """A trace of EXT causes and RET effects, 7 ms apart, whose opening looks back."""
+    states = {EXT: (ACTIVE_HIGH, PASSIVE_LOW), RET: (UNOBSTRUCTED_LOW, OBSTRUCTED_HIGH)}
+    return [
+        ev(device, 7 * i, states[device][i // 3 % 2])
+        for i, device in enumerate((EXT, RET, RET, EXT, RET) * 12)
+    ]
+
+
+@pytest.mark.parametrize("semantics", list(Semantics))
+@pytest.mark.parametrize("rejected", ["unknown", "out-of-order"])
+def test_a_rejected_event_leaves_the_monitor_as_it_was(semantics, rejected):
+    rules = [
+        rule(EXT, RET, "Active", "Unobstructed", -40, 60),
+        rule(RET, EXT, "Obstructed", "Passive", 0, 30, index=1),
+        rule(EXT, RET, "Passive", "Obstructed", -20, -5, inverse=True, index=2),
+    ]
+    cfg = MonitorConfig(semantics=semantics)
+    trace = _mixed_trace()
+    expected = feed(StreamMonitor(rules, cfg, known_devices=[EXT, RET]), trace, end=500)
+    for at in range(1, len(trace), 4):
+        mon = StreamMonitor(rules, cfg, known_devices=[EXT, RET])
+        verdicts = feed(mon, trace[:at])
+        if rejected == "unknown":
+            # at the next event's time, when wakes may be due
+            bad, error = ev(LOADER_PICKUP, trace[at].timepoint.t, ACTIVE_HIGH), UnknownDeviceError
+        else:
+            bad, error = ev(RET, trace[at - 1].timepoint.t - 1, UNOBSTRUCTED_LOW), OutOfOrderEventError
+        with pytest.raises(error):
+            mon.ingest(bad)
+        verdicts += feed(mon, trace[at:], end=500)
+        assert verdicts == expected
+
+
 def test_history_horizon_covers_the_largest_lookback():
     assert StreamMonitor([AVOIDANCE_RULE, CAUSALITY_RULE]).horizon == 500
     assert StreamMonitor([CAUSALITY_RULE]).horizon == 0
@@ -279,6 +330,47 @@ def test_state_holds_avoidance_reading_of_nominal_trace(catalog, nominal_trace):
     verdicts = list(check_trace(catalog, TopologyName.AVOIDANCE, nominal_trace, STATE_CFG))
     assert len(verdicts) == 1
     assert verdicts[0].outcome is Outcome.VIOLATED_MISSING
+
+
+def test_state_opening_steps_from_the_last_event_at_or_before_the_window_start(monkeypatch):
+    # a target that emits every 2 ms keeps 300 ms of events; opening steps
+    # the last one at or before the window start, then the later ones, up to
+    # the first past the window end, which decides; the ones before it cannot
+    step, wake = monitor_module._STEPS[Semantics.STATE_HOLDS]
+    live, opening = [], {}  # obligation -> times of the retained events opening stepped
+
+    def counting(ob, event, t):
+        if event is not None and event is not live[-1]:
+            opening.setdefault(ob, []).append(event.timepoint.t)
+        return step(ob, event, t)
+
+    monkeypatch.setitem(monitor_module._STEPS, Semantics.STATE_HOLDS, (counting, wake))
+    a, b = ComponentId("A"), ComponentId("B")
+    rules = [
+        rule(a, b, "Active", "Active", -300, -100),
+        rule(a, b, "Active", "Active", -250, 100, index=1),
+        rule(a, b, "Active", "Passive", -280, -40, inverse=True, index=2),
+    ]
+    trace = []
+    for t in range(2000):
+        if t % 2 == 0:
+            trace.append(ev(b, t, PASSIVE_LOW if t % 397 < 5 else ACTIVE_HIGH))
+        if t >= 350 and t % 50 == 25:  # odd: no target event at a window edge
+            trace.append(ev(a, t, ACTIVE_HIGH))
+    mon = StreamMonitor(rules, STATE_CFG)
+    verdicts = []
+    for e in trace:
+        live.append(e)
+        verdicts.extend(mon.ingest(e))
+    verdicts.extend(mon.finalize(trace[-1].timepoint.t))
+    assert len(opening) == 3 * 33
+    for ob, times in opening.items():
+        assert times == sorted(times)
+        assert sum(t <= ob.lo for t in times) <= 1
+        assert sum(t > ob.hi for t in times) <= 1
+    assert monitor_entries(verdicts, trace) == oracle_entries(
+        rules, trace, trace[-1].timepoint.t, auto_horizon(rules), state_mode=True
+    )
 
 
 # -- the schedule: stepping only the obligations an event can decide ------------

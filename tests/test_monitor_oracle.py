@@ -215,6 +215,31 @@ def test_state_holds_matches_its_oracle(rules, trace):
     )
 
 
+@pytest.mark.parametrize("semantics", list(Semantics))
+@settings(max_examples=150, deadline=None)
+@given(
+    st.tuples(spec_states, spec_states, st.integers(-800, -1), st.integers(-800, 800), st.booleans()),
+    st.tuples(st.sampled_from(DEVICES), spec_states, spec_states,
+              st.tuples(st.integers(-800, 800), st.integers(-800, 800)), st.booleans()),
+    traces_strategy,
+)
+def test_a_source_that_is_also_a_lookback_target_matches_the_oracle(semantics, into, out_of, trace):
+    """D1 is looked back on by a negative-minimum rule from D0 and causes a
+    rule of its own: its table entry holds rules, open obligations and history."""
+    cause, effect, lo, hi, inverse = into
+    target, *rest = out_of
+    rules = [
+        _mk_rule(0, DEVICES[0], DEVICES[1], cause, effect, (lo, hi), inverse),
+        _mk_rule(1, DEVICES[1], target, *rest),
+    ]
+    assert rules[0].min_ms < 0
+    verdicts = run_monitor(rules, trace, MonitorConfig(semantics=semantics))
+    end = trace[-1].timepoint.t if trace else 0
+    assert monitor_entries(verdicts, trace) == oracle_entries(
+        rules, trace, end, auto_horizon(rules), state_mode=semantics is Semantics.STATE_HOLDS
+    )
+
+
 def check_one_shot(rules, trace, cfg):
     """check_trace over a one-shot iterator of the trace, the rules given as
     a graph on a catalog of DEVICES; verdicts come in check_trace's order."""
