@@ -12,7 +12,7 @@ import json
 import os
 import stat
 import sys
-from typing import Iterator, List, Optional, TextIO
+from typing import Dict, Iterator, List, Optional, TextIO
 
 from .core.bemap import ComponentId
 from .errors import ModelError
@@ -83,12 +83,11 @@ def _cmd_model_dump(args) -> int:
     from .wire.common import _write_text
     from .wire.model import catalog_to_obj, graph_to_obj
     catalog = build_catalog()
-    out = sys.stdout if args.out == "-" else args.out
     if args.topology is None:
         if args.format == "dot":
             print("model dump --format dot requires --topology", file=sys.stderr)
             return 2
-        _write_text(out, json.dumps(catalog_to_obj(catalog), indent=2) + "\n")
+        _write_text(args.out, json.dumps(catalog_to_obj(catalog), indent=2) + "\n")
         return 0
     if args.topology == "all":
         graphs = {name.value: catalog.topologies[name] for name in TopologyName}
@@ -99,63 +98,65 @@ def _cmd_model_dump(args) -> int:
         payload = {label: graph_to_obj(g) for label, g in graphs.items()}
         if len(graphs) == 1:
             payload = next(iter(payload.values()))
-        _write_text(out, json.dumps(payload, indent=2) + "\n")
+        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     else:
-        text = "".join(render_dot(g) for g in graphs.values())
-        _write_text(out, text)
+        _write_text(args.out, "".join(render_dot(g) for g in graphs.values()))
     return 0
 
 
 def _cmd_simulate(args) -> int:
     from .simulator import stream_script
     from .wire.common import write_trace
-    from .wire.script import read_faults, read_script, script_file
+    from .wire.script import read_faults, script_file
     if args.scenario == args.faults == "-":
         print("simulate: --scenario and --faults cannot both read stdin (-)", file=sys.stderr)
         return 2
+    _not_an_input("--out", args.out, {"scenario": args.scenario, "fault file": args.faults})
     catalog = build_catalog()
     # a script file is checked whole before its first command is simulated
-    if args.scenario == "-":
-        scenario = contextlib.nullcontext(read_script(sys.stdin))
-    else:
-        scenario = script_file(args.scenario)
-    with scenario as script:
-        source = sys.stdin if args.faults == "-" else args.faults
-        faults = read_faults(source) if args.faults else []
+    with script_file(args.scenario) as script:
+        faults = read_faults(args.faults) if args.faults else []
         events = stream_script(
             catalog, script, faults=faults, seed=args.seed, stack_count=args.stack_count
         )
-        write_trace(sys.stdout if args.out == "-" else args.out, events)
+        write_trace(args.out, events)
     return 0
 
 
+def _not_an_input(flag: str, out: Optional[str], inputs: Dict[str, Optional[str]]) -> None:
+    """Raise if the output path `out` is the file of an input path, by any
+    link: opened for writing, it would empty the input before it is read."""
+    for name, path in inputs.items():
+        if {out, path}.isdisjoint({None, "-"}) and os.path.exists(out) and os.path.samefile(out, path):
+            raise ValueError(f"{flag} {out} is the {name} being read")
+
+
 @contextlib.contextmanager
-def _report_file(report: Optional[str], trace: str) -> Iterator[Optional[TextIO]]:
+def _report_file(report: Optional[str]) -> Iterator[Optional[TextIO]]:
     """Where --report goes.  If the run fails, a regular file that this run
     created is removed; a file or device that was there before is left as
-    far as it was written.  It may not be the trace file: opened first, it
-    would empty the trace."""
-    if report is None or report == "-":
-        yield None if report is None else sys.stdout
+    far as it was written."""
+    from .wire.common import opened
+    if report is None:
+        yield None
         return
-    if trace != "-" and os.path.realpath(report) == os.path.realpath(trace):
-        raise ValueError(f"--report {report} is the trace being read")
-    created = not os.path.lexists(report)
-    fp = open(report, "w", encoding="utf-8")
-    created = created and stat.S_ISREG(os.fstat(fp.fileno()).st_mode)
-    try:
-        with fp:
+    created = report != "-" and not os.path.lexists(report)
+    with opened(report, "w") as fp:
+        created = created and stat.S_ISREG(os.fstat(fp.fileno()).st_mode)
+        try:
             yield fp
-    except BaseException:
-        if created:
-            os.remove(report)
-        raise
+        except BaseException:
+            if created:
+                os.remove(report)
+            raise
 
 
 def _cmd_monitor(args) -> int:
     from .monitor import MonitorConfig, Semantics, SequenceUnit, check_trace
+    from .wire.common import opened
     from .wire.report import write_report
     from .wire.trace import read_trace
+    _not_an_input("--report", args.report, {"trace": args.trace})
     catalog = build_catalog()
     cfg = MonitorConfig(
         correlation_tolerance_ms=args.tolerance_ms,
@@ -172,11 +173,7 @@ def _cmd_monitor(args) -> int:
 
     decided = bad = 0
     # the trace opens first, so a missing one leaves --report untouched
-    if args.trace == "-":
-        source = contextlib.nullcontext(sys.stdin)
-    else:
-        source = open(args.trace, encoding="utf-8")
-    with source as lines, _report_file(args.report, args.trace) as report:
+    with opened(args.trace) as lines, _report_file(args.report) as report:
         trace = read_trace(lines, kinds=catalog.devices)
         verdicts = check_trace(catalog, topology, counted(trace), cfg)
         if report is not None:

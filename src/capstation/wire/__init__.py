@@ -4,8 +4,9 @@ JSON-lines traces, scenario scripts and fault files (read and written).
 Each part is the code one process runs, so that a process compiles only
 its own part:
 
-* `common`: the shared checks and line readers, the text of a live event,
-  and `write_trace`;
+* `common`: the shared checks, `opened` (the one opener of a path, `-` or
+  a file object) and the line reader, the text of a live event, and
+  `write_trace`;
 * `trace`: the trace reader, `read_trace` and `event_from_obj` (monitor);
 * `report`: `verdict_to_obj` and `write_report` (monitor);
 * `script`: scripts and fault files (simulate);
@@ -22,8 +23,9 @@ by json.dumps.  The trace and script readers are their inverse: once
 json.loads and the checks have read an event of a (device, state), or a
 command of an (actuator, signal), a later line that is the writer's text
 of it around a JSON integer in ASCII is read from that text alone.  Every
-other line is read through json.loads, so every error is the one that
-path raises.
+other line is read through json.loads and the checks, so every error is
+the one that path raises.  Every input is decoded as UTF-8, from a path
+or from stdin; a byte that is not UTF-8 is an error naming its place.
 """
 
 import importlib

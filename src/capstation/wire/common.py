@@ -1,6 +1,7 @@
 """What every part of `wire` shares: the checks of a JSON value's shape,
-the line readers, and the text of a live event, which the trace writer,
-the trace reader and the report writer all render the same way.
+the one opener of an input or output (`opened`), the line reader, and the
+text of a live event, which the trace writer, the trace reader and the
+report writer all render the same way.
 
 `write_trace` lives here and not with the trace reader, so that the
 simulate process, which writes a trace but reads none, compiles no reader.
@@ -11,8 +12,10 @@ the lines in batches of `_BATCH_LINES`.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import re
+import sys
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 from ..core.bemap import ComponentId
@@ -48,43 +51,62 @@ def _int(value, path: str) -> int:
     return value
 
 
-def _lines(source: Union[str, TextIO]) -> Iterator[str]:
-    """The lines of a path or a readable file-like object, read lazily."""
-    if hasattr(source, "read"):
-        yield from source
-    else:
-        with open(source, "r", encoding="utf-8") as fp:
-            yield from fp
-
-
 @contextlib.contextmanager
-def _opened(target: Union[str, TextIO]) -> Iterator[TextIO]:
-    """A writable file-like object as it is, or a path opened for writing."""
-    if hasattr(target, "write"):
+def opened(target: Union[str, TextIO], mode: str = "r") -> Iterator[TextIO]:
+    """A text stream to read (mode "r") or write ("w") on `target`: a file
+    object as it is, `-` as stdin or stdout, any other string as a path.
+
+    A path, and stdin when it has a byte buffer, are decoded as UTF-8 with
+    surrogateescape, whatever the locale: a byte that is not UTF-8 reads as
+    a lone surrogate, which `_check_utf8` reports with its line and column."""
+    if hasattr(target, "read" if mode == "r" else "write"):
         yield target
-    else:
-        with open(target, "w", encoding="utf-8") as fp:
+    elif target != "-":
+        with open(target, mode, encoding="utf-8", errors="surrogateescape") as fp:
             yield fp
+    elif mode == "r" and hasattr(sys.stdin, "buffer"):
+        fp = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="surrogateescape")
+        try:
+            yield fp
+        finally:
+            fp.detach()  # stdin stays open
+    else:  # stdout, or a text stream put in stdin's place
+        yield sys.stdout if mode == "w" else sys.stdin
 
 
 def _write_text(target: Union[str, TextIO], text: str) -> None:
-    """Write text to a path or a writable file-like object."""
-    with _opened(target) as fp:
+    """Write text to a path, `-` or a writable file-like object."""
+    with opened(target, "w") as fp:
         fp.write(text)
 
 
-def _numbered_lines(chunks: Iterable[str]) -> Iterator[Tuple[int, str]]:
-    """(line number, text) of every non-blank line.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")  # a byte that surrogateescape kept
+
+
+def _check_utf8(number: int, line: str) -> None:
+    """Raise if line `number` holds a byte that was not UTF-8."""
+    bad = _NOT_UTF8.search(line)
+    if bad:
+        what = f"line {number}: not UTF-8: byte 0x{ord(bad[0]) - 0xDC00:02x}"
+        raise MalformedJsonError(f"{what} at column {bad.start() + 1}", line=number)
+
+
+def _numbered_lines(source: Union[str, TextIO]) -> Iterator[Tuple[int, str]]:
+    """(line number, text) of every non-blank line of a path, `-` or a file
+    object, read lazily, each checked to be UTF-8.
 
     Lines are numbered as str.splitlines numbers the whole text: each line
     a file yields is split again, so a break other than a newline counts.
     """
     number = 0
-    for chunk in chunks:
-        for line in chunk.splitlines():
-            number += 1
-            if line.strip():
-                yield number, line
+    with opened(source) as chunks:
+        for chunk in chunks:
+            for line in chunk.splitlines():
+                number += 1
+                if not line.isascii():  # one C call for a writer's line
+                    _check_utf8(number, line)
+                if line.strip():
+                    yield number, line
 
 
 def _json_line(number: int, line: str):
@@ -164,11 +186,11 @@ _BATCH_LINES = 64
 
 
 def write_trace(target: Union[str, TextIO], events: Iterable[PhysicalEvent]) -> None:
-    """Write events as JSON lines, `_BATCH_LINES` per write; events must be
-    time-ordered.  Whatever stops the stream, the lines of the events
-    before it are written first."""
+    """Write events to a path, `-` or a file object as JSON lines,
+    `_BATCH_LINES` per write; events must be time-ordered.  Whatever stops
+    the stream, the lines of the events before it are written first."""
     lines: Dict[Tuple[str, str, bool], Tuple[str, str]] = {}
-    with _opened(target) as out:
+    with opened(target, "w") as out:
         held: List[str] = []
         last = None
         try:

@@ -20,7 +20,7 @@ from ..devices import LatencyOverride, StuckSensor, abstract_state
 from ..errors import MalformedJsonError, SchemaViolationError
 from ..station import ACTUATORS
 from .common import _SIGNALS, _around_time, _check_keys, _component, _int, _json_int, _json_line
-from .common import _lines, _numbered_lines, _obj, _write_text
+from .common import _check_utf8, _numbered_lines, _obj, _write_text, opened
 
 
 def script_to_lines(script: Sequence[Command]) -> str:
@@ -45,7 +45,7 @@ def _commands(source: Union[str, TextIO]) -> Iterator[Command]:
     integer, is read from that text alone."""
     checked: Dict[Tuple[str, str], Command] = {}  # by the writer's text around the time
     last = None
-    for number, line in _numbered_lines(_lines(source)):
+    for number, line in _numbered_lines(source):
         around, digits = _around_time(line, _TIME_MS)
         seen = checked.get(around)
         time = None if seen is None else _json_int(digits)
@@ -76,23 +76,23 @@ def _commands(source: Union[str, TextIO]) -> Iterator[Command]:
 
 
 def read_script(source: Union[str, TextIO]) -> Tuple[Command, ...]:
-    """Read and check a whole script."""
+    """Read and check a whole script from a path, `-` or a file object."""
     return tuple(_commands(source))
 
 
 @contextlib.contextmanager
 def script_file(path: str) -> Iterator[Iterable[Command]]:
-    """The commands of the script file at `path`, every line checked before
-    this yields them, as read_script checks it.
+    """The commands of the script at `path` (or `-`), every line checked
+    before this yields them, as read_script checks it.
 
     A regular file is checked in one streaming pass that keeps nothing, then
     read again in a second pass as the commands are consumed.  If the second
-    pass does not read as many commands as the first checked, it raises.  Any
-    other file (a pipe, a FIFO, a terminal) can be read only once: it is read
-    whole by read_script.
+    pass does not read as many commands as the first checked, it raises.
+    Stdin and any other file (a pipe, a FIFO, a terminal) are read once:
+    whole, by read_script.
     """
-    with open(path, "r", encoding="utf-8") as fp:
-        if not stat.S_ISREG(os.fstat(fp.fileno()).st_mode):
+    with opened(path) as fp:
+        if path == "-" or not stat.S_ISREG(os.fstat(fp.fileno()).st_mode):
             yield read_script(fp)
             return
         checked = 0
@@ -170,7 +170,11 @@ def _unconvertible_int_line(text: str) -> Optional[int]:
 
 
 def read_faults(source: Union[str, TextIO]) -> List[FaultSpec]:
-    text = "".join(_lines(source))
+    """The faults of a fault file: a path, `-` or a file object."""
+    with opened(source) as fp:
+        text = fp.read()
+    for number, line in enumerate(text.splitlines(), 1):
+        _check_utf8(number, line)
     try:
         value = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: too deeply nested

@@ -5,10 +5,13 @@ import io
 import json
 import os
 import pathlib
+import re
+import stat
 import subprocess
 import sys
 import tempfile
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -380,6 +383,7 @@ def test_model_dump_matches_its_golden_bytes(capsys, golden_dir, argv, golden):
 
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize(
@@ -662,10 +666,12 @@ def test_report_onto_the_trace_is_an_input_error(scenario_file, tmp_path, capsys
     trace = tmp_path / "trace.jsonl"
     cli_main(["simulate", "--scenario", str(scenario_file), "--out", str(trace)])
     before = trace.read_bytes()
-    code = cli_main(["monitor", "--trace", str(trace), "--topology", "all", "--report", str(trace)])
-    assert code == 2
-    assert "is the trace being read" in capsys.readouterr().err
-    assert trace.read_bytes() == before
+    os.link(trace, tmp_path / "hard-link.json")
+    for report in (trace, tmp_path / "hard-link.json"):
+        code = cli_main(["monitor", "--trace", str(trace), "--topology", "all", "--report", str(report)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --report {report} is the trace being read\n"
+        assert trace.read_bytes() == before
 
 
 _DEEP = "[" * 5000 + "\n"  # nested past the interpreter's recursion limit
@@ -693,6 +699,31 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, where):
     assert not report.exists()
 
 
+def _cli(argv, stdin):
+    """(exit code, stdout, stderr) of one in-process CLI call reading `stdin`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with mock.patch.object(sys, "stdin", stdin):
+            code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _stdin(data: bytes, encoding: str = "utf-8"):
+    """A stdin holding `data`, whose own text layer decodes as `encoding`."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding=encoding)
+
+
+def _from_path_and_stdin(where: str, data: bytes, encoding: str):
+    """The CLI's results on `data` given as a path and given as `-`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "input"
+        path.write_bytes(data)
+        report = str(pathlib.Path(tmp) / "report.json")
+        from_path = _cli(_input_argv(where, str(path), report), _stdin(b""))
+        from_stdin = _cli(_input_argv(where, "-", report), _stdin(data, encoding))
+    return from_path, from_stdin
+
+
 _JSONISH = st.text(alphabet='[]{}",:-0123456789 \n\\aeHLPt', max_size=200).map(str.encode)
 
 
@@ -700,16 +731,111 @@ _JSONISH = st.text(alphabet='[]{}",:-0123456789 \n\\aeHLPt', max_size=200).map(s
 @given(
     data=st.one_of(st.binary(max_size=200), _JSONISH),
     where=st.sampled_from(["scenario", "faults", "trace"]),
+    encoding=st.sampled_from(["utf-8", "latin-1", "ascii"]),
 )
-@example(data=_DEEP.encode(), where="scenario")
-@example(data=_DEEP.encode(), where="faults")
-@example(data=_DEEP.encode(), where="trace")
-def test_any_input_bytes_exit_0_1_or_2(data, where):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "input"
-        path.write_bytes(data)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli_main(_input_argv(where, str(path), str(pathlib.Path(tmp) / "report.json")))
+@example(data=_DEEP.encode(), where="scenario", encoding="utf-8")
+@example(data=_DEEP.encode(), where="faults", encoding="utf-8")
+@example(data=_DEEP.encode(), where="trace", encoding="utf-8")
+@example(data=b"\x80", where="scenario", encoding="latin-1")
+def test_any_input_bytes_exit_0_1_or_2(data, where, encoding):
+    # the same bytes give the same result from a path and from `-`, whatever
+    # the encoding of stdin's own text layer
+    from_path, from_stdin = _from_path_and_stdin(where, data, encoding)
+    code, _, err = from_path
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+    assert from_stdin == from_path
+
+
+# an input of each kind, and a line k > 1 of it that follows lines as its writer writes them
+_BAD_BYTE_LINES = {
+    "scenario": (SCENARIOS / "nominal.jsonl", 3),
+    "faults": (SCENARIOS / "faults_late_extension.json", 4),
+    "trace": (GOLDEN / "simulate_nominal.jsonl", 15),
+}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("where", ["scenario", "faults", "trace"])
+def test_a_bad_byte_on_line_k_is_located_from_a_path_and_from_stdin(where, newline):
+    source, k = _BAD_BYTE_LINES[where]
+    lines = source.read_bytes().splitlines()
+    at = lines[k - 1].index(b'"') + 1  # just inside the line's first string
+    lines[k - 1] = lines[k - 1][:at] + b"\xff" + lines[k - 1][at:]
+    data = b"".join(line + newline.encode() for line in lines)
+    expected = (2, "", f"error: line {k}: not UTF-8: byte 0xff at column {at + 1}\n")
+    for encoding in ("utf-8", "latin-1", "ascii"):
+        assert _from_path_and_stdin(where, data, encoding) == (expected, expected)
+
+
+@pytest.mark.parametrize("link", ["path", "symlink", "hard-link"])
+@pytest.mark.parametrize("flag", ["--scenario", "--faults"])
+def test_simulate_out_onto_an_input_is_an_input_error(tmp_path, capsys, flag, link):
+    scenario, faults = tmp_path / "script.jsonl", tmp_path / "faults.json"
+    scenario.write_bytes((SCENARIOS / "nominal.jsonl").read_bytes())
+    faults.write_bytes((SCENARIOS / "faults_late_extension.json").read_bytes())
+    target = scenario if flag == "--scenario" else faults
+    before = target.read_bytes()
+    out = f"{tmp_path}/./{target.name}"  # another spelling of the input's path
+    if link != "path":
+        out = str(tmp_path / "out")
+        (os.symlink if link == "symlink" else os.link)(target, out)
+    argv = ["simulate", "--scenario", str(scenario), "--faults", str(faults), "--out", out]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    name = "scenario" if flag == "--scenario" else "fault file"
+    assert (captured.out, captured.err) == ("", f"error: --out {out} is the {name} being read\n")
+    assert target.read_bytes() == before
+
+
+_LATE_TRACE = GOLDEN / "simulate_nominal_late_extension.jsonl"
+_LATE_REPORT = GOLDEN / "monitor" / "nominal_late_extension_event.report.json"
+
+
+def _broken_line(failure: str, line: bytes) -> bytes:
+    if failure == "malformed":
+        return b"{not json\n"
+    if failure == "out-of-order":  # every time of the trace is 0 or later
+        return re.sub(rb'"timepoint": [0-9]+', b'"timepoint": -1', line)
+    return line[:1] + b"\xff" + line[1:]  # not UTF-8
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    failure=st.sampled_from(["missing", "malformed", "out-of-order", "not-utf8"]),
+    k=st.integers(2, 29),
+    target=st.sampled_from(["new", "file", "symlink", "devnull"]),
+)
+@example(failure="missing", k=2, target="file")
+@example(failure="missing", k=2, target="symlink")
+@example(failure="not-utf8", k=29, target="symlink")
+def test_a_failed_monitor_never_changes_a_file_it_did_not_create(failure, k, target):
+    # the trace opens before the report, so a missing trace leaves the report
+    # untouched; a report file this run created is removed; one that was there
+    # before is left as a regular file, a symlink or a device, holding the
+    # report as far as it was written
+    with tempfile.TemporaryDirectory() as tmp:
+        trace, earlier = pathlib.Path(tmp) / "trace.jsonl", pathlib.Path(tmp) / "earlier.json"
+        if failure != "missing":
+            lines = _LATE_TRACE.read_bytes().splitlines(keepends=True)
+            lines[k - 1] = _broken_line(failure, lines[k - 1])
+            trace.write_bytes(b"".join(lines))
+        earlier.write_bytes(b"an earlier report\n")
+        report = {"new": pathlib.Path(tmp) / "report.json", "file": earlier,
+                  "symlink": pathlib.Path(tmp) / "link.json", "devnull": pathlib.Path(os.devnull)}[target]
+        if target == "symlink":
+            report.symlink_to(earlier)
+        argv = ["monitor", "--trace", str(trace), "--topology", "all", "--report", str(report)]
+        code, out, err = _cli(argv, _stdin(b""))
+        assert (code, out) == (2, "")
+        error = err.splitlines()[-1]
+        assert "No such file" in error if failure == "missing" else error.startswith(f"error: line {k}: ")
+        assert os.path.lexists(report) == (target != "new")
+        assert report.is_symlink() == (target == "symlink")
+        assert target != "symlink" or os.readlink(report) == str(earlier)
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        written = earlier.read_bytes()
+        if failure == "missing" or target in ("new", "devnull"):
+            assert written == b"an earlier report\n"
+        else:
+            assert _LATE_REPORT.read_bytes().startswith(written)

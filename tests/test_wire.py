@@ -237,6 +237,20 @@ def test_a_script_file_that_changes_between_its_two_reads_is_an_error(tmp_path, 
     assert len(got) == (2 if change == "shorter" else len(lines))
 
 
+def test_a_bad_byte_on_the_second_pass_of_a_script_file_names_its_line(tmp_path):
+    from capstation.scenarios import nominal_script
+
+    path = tmp_path / "script.jsonl"
+    write_script(str(path), nominal_script())
+    lines = path.read_bytes().splitlines(keepends=True)
+    got = []
+    with script_file(str(path)) as commands:  # the first pass has checked every line
+        path.write_bytes(b"".join(lines[:2] + [b"\xff" + lines[2]] + lines[3:]))
+        with pytest.raises(MalformedJsonError, match="^line 3: not UTF-8: byte 0xff at column 1$"):
+            got.extend(commands)
+    assert got == list(nominal_script()[:2])
+
+
 def _station_events(count):
     """`count` time-ordered events of one station sensor, in its two states by turns."""
     device = ComponentId("Stack Empty")
