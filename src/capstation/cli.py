@@ -7,12 +7,10 @@ errors.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
-import stat
 import sys
-from typing import Dict, Iterator, List, Optional, TextIO
+from typing import Dict, List, Optional
 
 from .core.bemap import ComponentId
 from .errors import ModelError
@@ -131,26 +129,6 @@ def _not_an_input(flag: str, out: Optional[str], inputs: Dict[str, Optional[str]
             raise ValueError(f"{flag} {out} is the {name} being read")
 
 
-@contextlib.contextmanager
-def _report_file(report: Optional[str]) -> Iterator[Optional[TextIO]]:
-    """Where --report goes.  If the run fails, a regular file that this run
-    created is removed; a file or device that was there before is left as
-    far as it was written."""
-    from .wire.common import opened
-    if report is None:
-        yield None
-        return
-    created = report != "-" and not os.path.lexists(report)
-    with opened(report, "w") as fp:
-        created = created and stat.S_ISREG(os.fstat(fp.fileno()).st_mode)
-        try:
-            yield fp
-        except BaseException:
-            if created:
-                os.remove(report)
-            raise
-
-
 def _cmd_monitor(args) -> int:
     from .monitor import MonitorConfig, Semantics, SequenceUnit, check_trace
     from .wire.common import opened
@@ -164,22 +142,16 @@ def _cmd_monitor(args) -> int:
         semantics=Semantics(args.semantics),
     )
     topology = "all" if args.topology == "all" else _TOPOLOGY_FLAGS[args.topology]
-    events = 0
+    events = decided = bad = 0
 
     def counted(trace):
         nonlocal events
         for events, event in enumerate(trace, 1):
             yield event
 
-    decided = bad = 0
-    # the trace opens first, so a missing one leaves --report untouched
-    with opened(args.trace) as lines, _report_file(args.report) as report:
-        trace = read_trace(lines, kinds=catalog.devices)
-        verdicts = check_trace(catalog, topology, counted(trace), cfg)
-        if report is not None:
-            verdicts = write_report(report, verdicts)
-        for verdict in verdicts:
-            decided += 1
+    def alarmed(verdicts):
+        nonlocal decided, bad
+        for decided, verdict in enumerate(verdicts, 1):
             if verdict.outcome.is_violation:
                 bad += 1
                 print(
@@ -188,6 +160,17 @@ def _cmd_monitor(args) -> int:
                     file=sys.stderr,
                     flush=True,
                 )
+            yield verdict
+
+    # the trace opens first, so a missing one leaves --report untouched; the
+    # alarms run inside the report's writer, so any error passes through its opener
+    with opened(args.trace) as lines:
+        trace = read_trace(lines, kinds=catalog.devices)
+        verdicts = alarmed(check_trace(catalog, topology, counted(trace), cfg))
+        if args.report is not None:
+            verdicts = write_report(args.report, verdicts)
+        for _ in verdicts:
+            pass
     print(json.dumps({"events": events, "verdicts": decided, "violations": bad}))
     return 1 if bad else 0
 

@@ -5,8 +5,8 @@ Each part is the code one process runs, so that a process compiles only
 its own part:
 
 * `common`: the shared checks, `opened` (the one opener of a path, `-` or
-  a file object) and the line reader, the text of a live event, and
-  `write_trace`;
+  a file object, which also decides what a failed write leaves) and the
+  line reader, the text of a live event, and `write_trace`;
 * `trace`: the trace reader, `read_trace` and `event_from_obj` (monitor);
 * `report`: `verdict_to_obj` and `write_report` (monitor);
 * `script`: scripts and fault files (simulate);

@@ -14,7 +14,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
+import stat
 import sys
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
@@ -58,12 +60,23 @@ def opened(target: Union[str, TextIO], mode: str = "r") -> Iterator[TextIO]:
 
     A path, and stdin when it has a byte buffer, are decoded as UTF-8 with
     surrogateescape, whatever the locale: a byte that is not UTF-8 reads as
-    a lone surrogate, which `_check_utf8` reports with its line and column."""
+    a lone surrogate, which `_check_utf8` reports with its line and column.
+    If the body or the closing flush raises, a regular file this call created
+    at a path is removed; a file, symlink or device that was there before is
+    left as far as it was written."""
     if hasattr(target, "read" if mode == "r" else "write"):
         yield target
     elif target != "-":
-        with open(target, mode, encoding="utf-8", errors="surrogateescape") as fp:
-            yield fp
+        created = mode == "w" and not os.path.lexists(target)
+        fp = open(target, mode, encoding="utf-8", errors="surrogateescape")
+        try:
+            with fp:
+                created = created and stat.S_ISREG(os.fstat(fp.fileno()).st_mode)
+                yield fp
+        except BaseException:
+            if created:
+                os.remove(target)
+            raise
     elif mode == "r" and hasattr(sys.stdin, "buffer"):
         fp = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="surrogateescape")
         try:

@@ -20,7 +20,7 @@ from ..devices import LatencyOverride, StuckSensor, abstract_state
 from ..errors import MalformedJsonError, SchemaViolationError
 from ..station import ACTUATORS
 from .common import _SIGNALS, _around_time, _check_keys, _component, _int, _json_int, _json_line
-from .common import _check_utf8, _numbered_lines, _obj, _write_text, opened
+from .common import _check_utf8, _numbered_lines, _obj, opened
 
 
 def script_to_lines(script: Sequence[Command]) -> str:
@@ -31,7 +31,8 @@ def script_to_lines(script: Sequence[Command]) -> str:
 
 
 def write_script(target: Union[str, TextIO], script: Sequence[Command]) -> None:
-    _write_text(target, script_to_lines(script))
+    with opened(target, "w") as fp:
+        fp.write(script_to_lines(script))
 
 
 _ACTUATORS_BY_ID = {actuator.id: actuator for actuator in ACTUATORS}

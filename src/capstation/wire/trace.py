@@ -70,7 +70,7 @@ def _device_state(value, device: ComponentId, kind: DeviceKind, path: str) -> De
             )
         return state  # a device the station does not have
     allowed = mapping(state.signal)
-    if state != allowed:
+    if state.name != allowed.name:  # the signal is the same by construction
         raise SchemaViolationError(
             path, f"{device} cannot be {state.name}/{state.signal.value}; its states are "
             f"{mapping.high.name}/High and {mapping.low.name}/Low",

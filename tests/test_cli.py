@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from capstation.cli import cli_main
 from capstation.scenarios import nominal_script
 from capstation.wire import write_script
+from test_simulator import scripts
 
 
 @pytest.fixture()
@@ -597,33 +598,33 @@ def test_violation_prints_while_the_trace_is_still_open(catalog, faulty_trace, g
     lines, head = _late_extension_lines(catalog, faulty_trace)
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "capstation", "monitor", "--trace", "-", "--topology", "all"],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    err_lines: "queue.Queue[bytes]" = queue.Queue()
+    ) as proc:
+        err_lines: "queue.Queue[bytes]" = queue.Queue()
 
-    def read_stderr():
-        for line in proc.stderr:
-            err_lines.put(line)
+        def read_stderr():
+            for line in proc.stderr:
+                err_lines.put(line)
 
-    reader = threading.Thread(target=read_stderr, daemon=True)
-    reader.start()
-    try:
-        proc.stdin.write("".join(lines[:head]).encode())
-        proc.stdin.flush()
-        first = err_lines.get(timeout=60)
-        assert first.startswith(b"violation: ")
-        assert proc.poll() is None  # still waiting for the rest of the trace
-        proc.stdin.write("".join(lines[head:]).encode())
-        proc.stdin.close()
-        out = proc.stdout.read()
-        assert proc.wait(timeout=60) == 1
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-    reader.join(timeout=60)
+        reader = threading.Thread(target=read_stderr, daemon=True)
+        reader.start()
+        try:
+            proc.stdin.write("".join(lines[:head]).encode())
+            proc.stdin.flush()
+            first = err_lines.get(timeout=60)
+            assert first.startswith(b"violation: ")
+            assert proc.poll() is None  # still waiting for the rest of the trace
+            proc.stdin.write("".join(lines[head:]).encode())
+            proc.stdin.close()
+            out = proc.stdout.read()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        reader.join(timeout=60)  # before the pipes close
     err = first + b"".join(err_lines.get_nowait() for _ in range(err_lines.qsize()))
     assert err == (golden_dir / "monitor" / "nominal_late_extension_event.stderr").read_bytes()
     assert json.loads(out) == {"events": 29, "verdicts": 12, "violations": 2}
@@ -800,6 +801,33 @@ def _broken_line(failure: str, line: bytes) -> bytes:
     return line[:1] + b"\xff" + line[1:]  # not UTF-8
 
 
+def _an_output(tmp: str, target: str):
+    """(the output path, the earlier file) for a `target` kind in `tmp`: a
+    new path, the earlier file, a symlink to it, or /dev/null."""
+    earlier = pathlib.Path(tmp) / "earlier.json"
+    earlier.write_bytes(b"an earlier output\n")
+    out = {"new": pathlib.Path(tmp) / "new.json", "file": earlier,
+           "symlink": pathlib.Path(tmp) / "link.json", "devnull": pathlib.Path(os.devnull)}[target]
+    if target == "symlink":
+        out.symlink_to(earlier)
+    return out, earlier
+
+
+def _left_by_a_failed_run(out, earlier, target: str, full: bytes, untouched: bool) -> None:
+    """A file the run created is removed; one that was there before is left
+    as a regular file, a symlink or a device, holding `full` as far as it was
+    written, or its earlier bytes if the run failed before opening it."""
+    assert os.path.lexists(out) == (target != "new")
+    assert out.is_symlink() == (target == "symlink")
+    assert target != "symlink" or os.readlink(out) == str(earlier)
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    written = earlier.read_bytes()
+    if untouched or target in ("new", "devnull"):
+        assert written == b"an earlier output\n"
+    else:
+        assert full.startswith(written)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     failure=st.sampled_from(["missing", "malformed", "out-of-order", "not-utf8"]),
@@ -815,27 +843,99 @@ def test_a_failed_monitor_never_changes_a_file_it_did_not_create(failure, k, tar
     # before is left as a regular file, a symlink or a device, holding the
     # report as far as it was written
     with tempfile.TemporaryDirectory() as tmp:
-        trace, earlier = pathlib.Path(tmp) / "trace.jsonl", pathlib.Path(tmp) / "earlier.json"
+        trace = pathlib.Path(tmp) / "trace.jsonl"
         if failure != "missing":
             lines = _LATE_TRACE.read_bytes().splitlines(keepends=True)
             lines[k - 1] = _broken_line(failure, lines[k - 1])
             trace.write_bytes(b"".join(lines))
-        earlier.write_bytes(b"an earlier report\n")
-        report = {"new": pathlib.Path(tmp) / "report.json", "file": earlier,
-                  "symlink": pathlib.Path(tmp) / "link.json", "devnull": pathlib.Path(os.devnull)}[target]
-        if target == "symlink":
-            report.symlink_to(earlier)
+        report, earlier = _an_output(tmp, target)
         argv = ["monitor", "--trace", str(trace), "--topology", "all", "--report", str(report)]
         code, out, err = _cli(argv, _stdin(b""))
         assert (code, out) == (2, "")
         error = err.splitlines()[-1]
         assert "No such file" in error if failure == "missing" else error.startswith(f"error: line {k}: ")
-        assert os.path.lexists(report) == (target != "new")
-        assert report.is_symlink() == (target == "symlink")
-        assert target != "symlink" or os.readlink(report) == str(earlier)
-        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
-        written = earlier.read_bytes()
-        if failure == "missing" or target in ("new", "devnull"):
-            assert written == b"an earlier report\n"
+        _left_by_a_failed_run(report, earlier, target, _LATE_REPORT.read_bytes(), failure == "missing")
+
+
+class _InterruptedAlarms(io.StringIO):
+    """A stderr on which printing a violation is interrupted."""
+
+    def write(self, text):
+        if text.startswith("violation: "):
+            raise KeyboardInterrupt
+        return super().write(text)
+
+
+def test_an_interrupted_alarm_removes_the_report_before_the_interrupt_is_handled(tmp_path):
+    # the alarms print inside write_report, so the report's opener sees the
+    # interrupt as it passes; the report is gone while the traceback still
+    # holds every frame of the run
+    report = tmp_path / "report.json"
+    argv = ["monitor", "--trace", str(_LATE_TRACE), "--topology", "all", "--report", str(report)]
+    with contextlib.redirect_stderr(_InterruptedAlarms()), pytest.raises(KeyboardInterrupt) as raised:
+        cli_main(argv)
+    assert raised.tb is not None and not report.exists()
+
+
+@settings(max_examples=60, deadline=None)
+# the nominal script has 11 commands
+@given(k=st.integers(0, 10), target=st.sampled_from(["new", "file", "symlink", "devnull"]))
+@example(k=6, target="new")
+def test_a_failed_simulate_never_changes_a_file_it_did_not_create(k, target):
+    # the simulator fails on command k, after the trace of the commands before
+    # it is written; --out is left as --report is by a failed monitor
+    from capstation.errors import ModelError
+    from capstation.simulator import Simulation
+
+    command, calls = Simulation.command, []
+
+    def failing(self, *args):
+        calls.append(args)
+        if len(calls) > k:
+            raise ModelError(f"command {k} failed")
+        return command(self, *args)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        trace, earlier = _an_output(tmp, target)
+        argv = ["simulate", "--scenario", str(SCENARIOS / "nominal.jsonl"), "--out", str(trace)]
+        with mock.patch.object(Simulation, "command", failing):
+            assert _cli(argv, _stdin(b"")) == (2, "", f"error: command {k} failed\n")
+        full = (GOLDEN / "simulate_nominal.jsonl").read_bytes()
+        _left_by_a_failed_run(trace, earlier, target, full, False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    script=scripts,
+    scenario_from=st.sampled_from(["path", "-"]),
+    report_to=st.sampled_from(["path", "-"]),
+)
+def test_the_cli_gives_the_trace_report_and_summary_of_the_library(
+    catalog, script, scenario_from, report_to
+):
+    from capstation.monitor import check_trace
+    from capstation.simulator import run_script
+    from capstation.wire import write_report, write_trace
+
+    events = run_script(catalog, script)
+    verdicts = list(check_trace(catalog, "all", events))
+    trace_text, report_text = io.StringIO(), io.StringIO()
+    write_trace(trace_text, events)
+    list(write_report(report_text, verdicts))
+    bad = sum(v.outcome.is_violation for v in verdicts)
+    summary = json.dumps({"events": len(events), "verdicts": len(verdicts), "violations": bad}) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, trace, report = (str(pathlib.Path(tmp) / n) for n in ("s.jsonl", "t.jsonl", "r.json"))
+        write_script(scenario, script)
+        source = pathlib.Path(scenario).read_bytes()
+        argv = ["simulate", "--scenario", scenario if scenario_from == "path" else "-", "--out", "-"]
+        assert _cli(argv, _stdin(source)) == (0, trace_text.getvalue(), "")
+        pathlib.Path(trace).write_text(trace_text.getvalue())
+        target = report if report_to == "path" else "-"
+        argv = ["monitor", "--trace", trace, "--topology", "all", "--report", target]
+        code, out, _ = _cli(argv, _stdin(b""))
+        assert code == (1 if bad else 0)
+        if report_to == "path":
+            assert (out, pathlib.Path(report).read_text()) == (summary, report_text.getvalue())
         else:
-            assert _LATE_REPORT.read_bytes().startswith(written)
+            assert out == report_text.getvalue() + summary

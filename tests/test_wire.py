@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import pathlib
+import signal
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -23,6 +27,7 @@ from capstation.devices import (
 )
 from capstation.errors import (
     MalformedJsonError,
+    ModelError,
     OutOfOrderEventError,
     SchemaViolationError,
     UnknownDeviceError,
@@ -303,6 +308,81 @@ def test_a_stopped_trace_keeps_the_lines_before_the_stop(stop, k):
     with pytest.raises((OutOfOrderEventError, ValueError)):
         write_trace(out, stop(events))
     assert out.getvalue() == _line_per_event(events)
+
+
+def _stop_at(items, k, error):
+    """The first k items, then the error that stops a failed run."""
+    yield from items[:k]
+    raise error(f"the run stopped after {k} items")
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    writer=st.sampled_from(["trace", "report", "script"]),
+    k=st.integers(0, 30),
+    target=st.sampled_from(["new", "file", "symlink", "devnull"]),
+    error=st.sampled_from([ModelError, KeyboardInterrupt]),
+)
+@example(writer="trace", k=3, target="new", error=ModelError)
+@example(writer="report", k=3, target="new", error=KeyboardInterrupt)
+@example(writer="script", k=3, target="new", error=ModelError)
+def test_a_failed_writer_removes_only_the_file_it_created(
+    catalog, faulty_trace, writer, k, target, error
+):
+    # a regular file the failed write created at a path is removed; a file, a
+    # symlink or a device that was there before is kept, and the file holds
+    # the output as far as it was written
+    from capstation.monitor import check_trace
+    from capstation.scenarios import nominal_script
+
+    write, items = {
+        "trace": (write_trace, faulty_trace),
+        "report": (
+            lambda out, verdicts: list(write_report(out, verdicts)),
+            list(check_trace(catalog, "all", faulty_trace)),
+        ),
+        "script": (write_script, nominal_script()),
+    }[writer]
+    full = io.StringIO()
+    write(full, items)
+    with tempfile.TemporaryDirectory() as tmp:
+        earlier = pathlib.Path(tmp) / "earlier"
+        earlier.write_text("an earlier file\n")
+        path = {"new": pathlib.Path(tmp) / "new", "file": earlier,
+                "symlink": pathlib.Path(tmp) / "link", "devnull": pathlib.Path(os.devnull)}[target]
+        if target == "symlink":
+            path.symlink_to(earlier)
+        with pytest.raises(error, match=f"stopped after {k} items"):
+            write(str(path), _stop_at(items, k, error))
+        assert os.path.lexists(path) == (target != "new")
+        assert path.is_symlink() == (target == "symlink")
+        written = earlier.read_text()
+        if target in ("new", "devnull"):
+            assert written == "an earlier file\n"
+        else:
+            assert full.getvalue().startswith(written)
+
+
+_FLUSH_FAILS = """
+import resource, signal, sys
+from capstation.scenarios import nominal_script
+from capstation.wire import write_script
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails with EFBIG
+resource.setrlimit(resource.RLIMIT_FSIZE, (100, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+write_script(sys.argv[1], nominal_script())
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit signal here")
+def test_a_write_that_fails_as_the_file_closes_removes_the_file_it_created(tmp_path):
+    # the script's 700 bytes wait in the stream's buffer until it closes, and
+    # that flush fails past a 100-byte file size limit, after the body returned
+    out = tmp_path / "script.jsonl"
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FLUSH_FAILS, str(out)], env=env, capture_output=True)
+    assert proc.returncode == 1 and b"File too large" in proc.stderr
+    assert not os.path.lexists(out)
 
 
 # -- structural round-trips over generated values -----------------------------------
